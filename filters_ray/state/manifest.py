@@ -4,12 +4,15 @@ Layout (design point: 10^10 events, fixed partition count P recorded in the
 table-level meta so replay reshuffles identically — SURVEY.md §4)::
 
     <lake_root>/
-      _meta.json                      # num_partitions, key columns, created
+      _meta.json                      # num_partitions, key columns, retention
+      _ingest_ledger.json             # files tail() has ingested
       part=<p>/
         data.parquet                  # base rows, sorted by (repo, path)
         delta-<lo>-<hi>.parquet       # per-micro-batch upsert deltas
         manifest.json                 # hwm_lsn, rows, sha256, counts, deltas
-      _dlq/part=<p>/dlq.parquet       # dead-letter rows for partition p
+        history/delta-<lo>-<hi>.parquet  # retained commit snapshots
+      _dlq/part=<p>/
+        dlq-<lo>-<hi>.parquet         # dead-letter rows, one file per commit
 
 Commit protocol (idempotent under task retry):
 
@@ -143,8 +146,8 @@ class ManifestStore:
     def manifest_path(self, pid: int) -> str:
         return os.path.join(self.partition_dir(pid), 'manifest.json')
 
-    def dlq_path(self, pid: int) -> str:
-        return os.path.join(self.root, '_dlq', f'part={pid}', 'dlq.parquet')
+    def dlq_dir(self, pid: int) -> str:
+        return os.path.join(self.root, '_dlq', f'part={pid}')
 
     def delta_path(self, pid: int, name: str) -> str:
         return os.path.join(self.partition_dir(pid), name)
@@ -203,22 +206,11 @@ class ManifestStore:
         manifest = self.read_manifest(pid)
         return manifest.hwm_lsn if manifest else -1
 
-    @contextlib.contextmanager
     def meta_lock(self):
         """Exclusive table-meta creation lock (see :meth:`partition_lock`
         for the locking model)."""
-        import fcntl
+        return _flock(self.root, '.metalock')
 
-        os.makedirs(self.root, exist_ok=True)
-        fd = os.open(os.path.join(self.root, '.metalock'), os.O_CREAT | os.O_RDWR)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    @contextlib.contextmanager
     def partition_lock(self, pid: int):
         """Exclusive per-partition writer lock (``flock`` on
         ``part=<p>/.commitlock``): serializes concurrent writers into one
@@ -231,19 +223,8 @@ class ManifestStore:
         whose conditional-put (S3 If-Match / GCS generation) replaces
         this; the commit_version counter is the CAS token for that path.
         """
-        import fcntl
+        return _flock(self.partition_dir(pid), '.commitlock')
 
-        os.makedirs(self.partition_dir(pid), exist_ok=True)
-        lock_path = os.path.join(self.partition_dir(pid), '.commitlock')
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    @contextlib.contextmanager
     def _conditional_put(self, pid: int):
         """The store's conditional-put primitive, emulated on POSIX.
 
@@ -257,19 +238,7 @@ class ManifestStore:
         lock file (not ``.commitlock``): a caller already holding
         :meth:`partition_lock` via a second fd would self-deadlock on
         the same file."""
-        import fcntl
-
-        os.makedirs(self.partition_dir(pid), exist_ok=True)
-        fd = os.open(
-            os.path.join(self.partition_dir(pid), '.casput'),
-            os.O_CREAT | os.O_RDWR,
-        )
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+        return _flock(self.partition_dir(pid), '.casput')
 
     def commit_partition(
         self,
@@ -333,6 +302,22 @@ class ManifestStore:
             if manifest is not None:
                 out[pid] = manifest
         return out
+
+
+@contextlib.contextmanager
+def _flock(directory: str, name: str):
+    """Hold an exclusive ``flock`` on ``directory/name`` (created on
+    demand); released on exit and on process death."""
+    import fcntl
+
+    os.makedirs(directory, exist_ok=True)
+    fd = os.open(os.path.join(directory, name), os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:

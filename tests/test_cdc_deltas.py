@@ -245,6 +245,17 @@ def test_lake_report_totals(tmp_path):
     assert report['max_partition_rows'] >= report['min_partition_rows'] > 0
     assert report['skew_ratio'] >= 1.0
 
+    # A 1-event run touches one partition; its lake_rows still covers
+    # the whole lake.
+    one = pa.Table.from_pylist([{
+        'lsn': log.num_rows + 1000, 'op': 'insert', 'repo': 'r-new',
+        'path': 'new.txt', 'commit': 'c' * 40, 'lang': '', 'content': 'x',
+    }])
+    second = pipeline.run(rd.from_arrow(one))
+    assert second.partitions == 1
+    assert second.lake_rows == pipeline.lake_report()['lake_rows'] \
+        == pipeline.final_table().num_rows == run.lake_rows + 1
+
 
 @pytest.mark.usefixtures('ray_session')
 def test_point_lookup(tmp_path):

@@ -1,0 +1,75 @@
+"""Golden manifests: a fixed ingest/redrive/vacuum sequence on a seeded
+retained-history lake must leave exactly the manifests and DLQ files
+recorded in ``golden_cdc_manifests.json``, after every step.
+
+Pins what no oracle test does: the chained delta digests, the exact
+``deltas``/``history`` lists, the per-partition DLQ accounting and the
+vacuum floors. A change to the commit path that alters a single byte of
+committed state fails here, not only one that alters the live rows.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import pytest
+
+from filters_ray.pipelines.cdc import CDCPipeline
+from filters_ray.sources.synth import LANGS, SynthConfig, make_events
+
+PINNED = (
+    'rows', 'sha256', 'hwm_lsn', 'deltas', 'history', 'rejected_by_code',
+    'dlq_corrupt_lsns', 'history_floor_lsn',
+)
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), 'golden_cdc_manifests.json')
+STEPS = ('run', 'run (delta)', 'run (compaction)', 'replay_dlq', 'vacuum_history')
+
+
+def golden_state(pipeline: CDCPipeline) -> dict:
+    """Per partition: the pinned manifest fields plus the sorted DLQ
+    file names."""
+    out = {}
+    for pid, m in sorted(pipeline.store.all_manifests().items()):
+        state = {k: getattr(m, k) for k in PINNED}
+        dlq_dir = os.path.join(pipeline.lake_root, '_dlq', f'part={pid}')
+        state['dlq_files'] = (
+            sorted(os.listdir(dlq_dir)) if os.path.isdir(dlq_dir) else [])
+        out[str(pid)] = state
+    return out
+
+
+def run_golden_sequence(lake: str) -> list:
+    """The :data:`STEPS` on a fresh lake; the golden state after each.
+
+    The log is cut in arrival order at multiples of its 16-event
+    disorder window, so re-delivered corrupt (negative) lsns reach later
+    runs and exercise the no-recount rule."""
+    import ray.data as rd
+
+    cfg = SynthConfig(n_keys=60, n_events=800, n_repos=6, seed=5)
+    log = make_events(cfg)
+    cuts = [0, 272, 544, log.num_rows]
+    pipeline = CDCPipeline(lake, num_partitions=4, compact_every=2,
+                           retain_history=True)
+    states = []
+    for a, b in zip(cuts, cuts[1:]):
+        pipeline.run(rd.from_arrow(log.slice(a, b - a)))
+        states.append(golden_state(pipeline))
+    vacuum_before = max(int(m['hwm_lsn']) for m in states[1].values()) + 1
+    pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    states.append(golden_state(pipeline))
+    pipeline.vacuum_history(before_lsn=vacuum_before)
+    states.append(golden_state(pipeline))
+    return states
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_golden_manifests(tmp_path):
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    states = run_golden_sequence(str(tmp_path / 'lake'))
+    assert len(states) == len(golden) == len(STEPS)
+    for step, got, want in zip(STEPS, states, golden):
+        assert got == want, f'state after {step} differs from the golden one'

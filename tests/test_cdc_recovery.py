@@ -37,7 +37,7 @@ def test_lost_partition_rebuilt_by_replay(tmp_path):
         os.remove(pipeline.store.data_path(victim))
     if os.path.exists(pipeline.store.manifest_path(victim)):
         os.remove(pipeline.store.manifest_path(victim))
-    shutil.rmtree(os.path.dirname(pipeline.store.dlq_path(victim)),
+    shutil.rmtree(pipeline.store.dlq_dir(victim),
                   ignore_errors=True)
 
     # Replay the full log (the retry path): untouched partitions drop

@@ -104,7 +104,7 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
     pipeline.run(rd.from_arrow(log_with_bad_langs()))
     assert pipeline.rejection_counts() == {'not_valid_choice': 10, 'empty': 1}
 
-    dlq_dir = os.path.dirname(pipeline.store.dlq_path(0))
+    dlq_dir = pipeline.store.dlq_dir(0)
     files_before = sorted(
         f for f in os.listdir(dlq_dir) if f.endswith('.parquet')
     )
@@ -155,3 +155,45 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
     assert pipeline.final_table().num_rows == 30
     assert pipeline.rejection_counts() == {'empty': 1}
     assert pipeline.dlq_dataset().count() == 1
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
+    """A CAS redrive that loses its commit race retries; the replacement
+    DLQ file staged by the lost attempt must not be left behind."""
+    import os
+
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.sources.synth import LANGS
+    from filters_ray.state.manifest import ManifestStore
+
+    lake = str(tmp_path / 'lake')
+    pipeline = CDCPipeline(lake, num_partitions=1)
+    log = log_with_bad_langs()
+    pipeline.run(rd.from_arrow(log))
+    dead = log.filter(pc.or_(pc.equal(log.column('lang'), 'klingon'),
+                             pc.equal(log.column('repo'), '')))
+    group = CDCValidateStage(num_partitions=1,
+                             langs=list(LANGS) + ['klingon'])(dead)
+
+    real_commit = ManifestStore.commit_partition
+    lost = []
+
+    def lose_first_race(self, manifest, tmp_data, **k):
+        if not lost:  # as if another writer committed after our read
+            lost.append(True)
+            k['expected_version'] += 1
+        return real_commit(self, manifest, tmp_data, **k)
+
+    monkeypatch.setattr(ManifestStore, 'commit_partition', lose_first_race)
+    make_upsert_fn(lake, redrive=True, concurrency='cas')(group)
+    monkeypatch.undo()
+
+    assert lost
+    assert pipeline.rejection_counts() == {'empty': 1}
+    assert pipeline.final_table().num_rows == 30
+    for d in (pipeline.store.partition_dir(0), pipeline.store.dlq_dir(0)):
+        assert not [f for f in os.listdir(d) if '.tmp' in f], d
