@@ -67,6 +67,7 @@ from ..stages.validate import (
     ERRORS_COLUMN,
     ORIGINAL_COLUMN,
     RecordValidator,
+    dlq_rows,
 )
 
 __all__ = [
@@ -377,6 +378,24 @@ def _concat_widened(tables: List[pa.Table]) -> pa.Table:
     return pa.concat_tables([align_table(t, schema) for t in tables])
 
 
+def _read_widened(paths: List[str], drop: Iterable[str] = ()):
+    """``read_parquet`` over files whose schemas differ additively across
+    commits, with the ``drop`` columns pruned. First-fragment schema
+    inference can drop later-added columns (ADVICE r3), so the schema is
+    widened across the files and passed explicitly: the reader then
+    null-fills the columns a file lacks. The ``part=<p>`` directories are
+    not hive partitions: no ``part`` column is derived from the path."""
+    import ray.data as rd
+
+    schema = None
+    for p in paths:
+        s = pq.read_schema(p).remove_metadata()
+        schema = s if schema is None else widen_schema(schema, s)[0]
+    for name in drop:
+        schema = schema.remove(schema.get_field_index(name))
+    return rd.read_parquet(paths, schema=schema, partitioning=None)
+
+
 def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
     """base ∪ deltas ∪ incoming → canonical live rows.
 
@@ -527,15 +546,16 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
 def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
                defer: bool) -> tuple:
     """Step 2: one range-keyed DLQ file per commit, deterministic per
-    replay window. Returns ``(final path, deferred tmp path)``; both are
+    replay window, holding the rejected events' own typed columns plus
+    ``_errors`` (the raw lsn is not stored: validating the file's ``lsn``
+    derives it again). Returns ``(final path, deferred tmp path)``; both are
     None when nothing was rejected."""
     if not dlq.num_rows:
         return None, None
     bounds = pc.min_max(dlq.column(RAW_LSN_COLUMN))
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
     final = os.path.join(store.dlq_dir(pid), f'dlq-{lo}-{hi}.parquet')
-    out = dlq.select([ORIGINAL_COLUMN, ERRORS_COLUMN, RAW_LSN_COLUMN])
-    out = out.sort_by([(RAW_LSN_COLUMN, 'ascending')])
+    out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
     return final, _publish(store, pid, out, final, 'dlq', defer=defer)
 
 
@@ -1129,17 +1149,7 @@ class CDCPipeline:
                 mask = pc.and_(mask, pc.less_equal(lsn, until_lsn))
             return batch.filter(mask)
 
-        # History files have heterogeneous schemas across commits
-        # (additive widening) — reading them under first-fragment schema
-        # inference can drop later-added columns (ADVICE r3). Widen
-        # across the pruned files and pass the explicit schema: the
-        # reader then null-fills missing columns per file.
-        schema = None
-        for p in paths:
-            s = pq.read_schema(p).remove_metadata()
-            schema = s if schema is None else widen_schema(schema, s)[0]
-        return rd.read_parquet(paths, schema=schema).map_batches(
-            window, batch_format='pyarrow')
+        return _read_widened(paths).map_batches(window, batch_format='pyarrow')
 
     def changes(self, since_lsn: int = -1,
                 until_lsn: Optional[int] = None) -> pa.Table:
@@ -1228,33 +1238,18 @@ class CDCPipeline:
         """Dead-letter redrive: re-validate every DLQ'd event under a
         (typically widened) chain config and upsert the now-valid ones.
 
-        Rows that validate are merged into the lake (LWW vs the base
-        still applies, so a redriven event never overrides a newer
-        writer); rows that still fail remain the partition's entire DLQ
-        (files rewritten; rejection counts shrink accordingly).
+        The DLQ files hold the events as delivered, so redrive is the
+        ingest path over them. Rows that validate are merged into the
+        lake (LWW vs the base still applies, so a redriven event never
+        overrides a newer writer); rows that still fail remain the
+        partition's entire DLQ (files rewritten; rejection counts shrink
+        accordingly).
         """
         dlq = self.dlq_dataset()
         if dlq.count() == 0:
             return RunReport(lake_rows=self._lake_rows())
-
-        def reconstruct(batch: pa.Table) -> pa.Table:
-            rows = [json.loads(s) for s in batch.column(ORIGINAL_COLUMN).to_pylist()]
-            cols = ['lsn', 'op', 'repo', 'path', 'commit', 'lang', 'content']
-            extras = sorted({k for r in rows for k in r} - set(cols))
-            out = {}
-            out['lsn'] = pa.array(
-                [r.get('lsn') if isinstance(r.get('lsn'), int) else None for r in rows],
-                type=pa.int64(),
-            )
-            for c in cols[1:] + extras:
-                out[c] = pa.array(
-                    [None if r.get(c) is None else str(r.get(c)) for r in rows],
-                    type=pa.string(),
-                )
-            return pa.table(out)
-
         return self._ingest(
-            dlq.map_batches(reconstruct, batch_format='pyarrow'),
+            dlq,
             langs if langs is not None else self.langs,
             allow_extra_keys if allow_extra_keys is not None else self.allow_extra_keys,
             redrive=True,
@@ -1324,7 +1319,11 @@ class CDCPipeline:
             .map_batches(read_merged, batch_format='pyarrow', batch_size=1)
 
     def dlq_dataset(self):
-        """The dead-letter dataset (original payload + errors + lsn)."""
+        """The dead-letter dataset: every rejected event as delivered, its
+        own input columns with their Arrow types (``_errors`` pruned), under
+        one schema widened across the DLQ files, so a column added in a
+        later run reads as null on earlier rows. This is what
+        :meth:`replay_dlq` re-ingests."""
         import ray.data as rd
 
         paths = []
@@ -1337,7 +1336,7 @@ class CDCPipeline:
                 )
         if not paths:
             return rd.from_arrow(pa.table({}))
-        return rd.read_parquet(paths)
+        return _read_widened(paths, drop=(ERRORS_COLUMN,))
 
     def rejection_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..stages.cogroup import hash_bucket_join
 from .text import normalize_for_fingerprint
@@ -87,8 +88,8 @@ def exact_dedup(ds, column: str = 'text', key: str = 'doc_id',
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         norm = normalize_for_fingerprint(col)
-        vals = np.asarray(norm.to_numpy(zero_copy_only=False), dtype=object)
-        vals = np.where(np.array([v is None for v in vals]), '', vals)
+        vals = np.asarray(
+            pc.fill_null(norm, '').to_numpy(zero_copy_only=False), dtype=object)
         bucket = (_hash_strings(vals) % np.uint64(num_buckets)).astype(np.int64)
         return batch.append_column('_hb', pa.array(bucket))
 
@@ -401,8 +402,6 @@ def verify_jaccard_pairs(
 
     Returns the verified pairs Dataset ``(left, right, jaccard)``.
     """
-    import pyarrow.compute as pc
-
     import ray
 
     # Bounded (LSH candidates); avoids re-running candidate generation
@@ -575,7 +574,6 @@ def connected_components(pairs_ds, num_partitions: int = 16,
     labels = edges.groupby('node').aggregate(Min('nbr', alias_name='label'))
 
     def clip_self(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return pa.table({
             'node': batch.column('node'),
             'label': pc.min_element_wise(
@@ -699,7 +697,6 @@ def minhash_dedup(
 
         # Tiny-result materialization: duplicates only (label != node).
         def dups_only(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
             return batch.filter(
                 pc.not_equal(batch.column('node'), batch.column('label')),
             )
@@ -708,8 +705,6 @@ def minhash_dedup(
         clusters = {r['node']: r['label'] for r in dup_rows}
 
     if clusters:
-        import pyarrow.compute as pc
-
         import ray
 
         clusters_ref = ray.put(pa.array(sorted(clusters)))

@@ -7,9 +7,14 @@ reference complex.py:174-383) to every row of a `pyarrow.Table`, producing:
 * transformed columns (chain outputs) for clean rows,
 * an ``_errors`` column ``list<struct<key: string, code: string>>``
   mirroring ``FilterRunner.error_codes`` keyed by dotted path,
-* an ``_original`` column holding the JSON-encoded source row for errored
-  rows only (null for clean rows) so the dead-letter dataset preserves the
-  raw payload without duplicating clean-row memory.
+* an ``_original`` struct column holding the batch's own input columns,
+  typed as they arrived, for errored rows only (null on clean rows), so
+  the dead-letter dataset keeps each rejected row exactly as delivered.
+
+A dead-letter file (:func:`dlq_rows`) is that struct's fields written as
+ordinary columns, each with its input Arrow type, next to ``_errors``:
+redrive reads it back as the same events it started as, with no per-row
+encode or decode on either side.
 
 Chain compilation happens ONCE in ``__init__`` (actor/worker construction
 state — SURVEY.md §3.4); ``__call__`` does per-batch vectorized work only.
@@ -17,7 +22,6 @@ state — SURVEY.md §3.4); ``__call__`` does per-batch vectorized work only.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     'RecordValidator',
     'RowRule',
     'ValidateStage',
+    'dlq_rows',
     'errors_type',
     'split_clean_dlq',
 ]
@@ -153,11 +158,8 @@ class RecordValidator:
                     if rows.size:
                         all_entries.append((rows, key, code))
 
-        errors_col, error_mask = _build_errors_column(n, all_entries)
-        original_col = _original_json_column(table, error_mask)
-
-        out_cols[ERRORS_COLUMN] = errors_col
-        out_cols[ORIGINAL_COLUMN] = original_col
+        out_cols[ERRORS_COLUMN], error_mask = _build_errors_column(n, all_entries)
+        out_cols[ORIGINAL_COLUMN] = _original_column(table, error_mask)
         return pa.table(out_cols)
 
 
@@ -192,26 +194,15 @@ def _build_errors_column(
     return col, counts > 0
 
 
-def _original_json_column(table: pa.Table, error_mask: np.ndarray) -> pa.Array:
-    """JSON-encode source rows for errored rows only (null elsewhere)."""
-    n = table.num_rows
-    if not error_mask.any():
-        return pa.nulls(n, type=pa.string())
-    idx = np.flatnonzero(error_mask)
-    sub = table.take(pa.array(idx))
-    out = np.full(n, None, dtype=object)
-    cols = sub.to_pydict()
-    names = sub.column_names
-    for j, i in enumerate(idx):
-        row = {name: _jsonable(cols[name][j]) for name in names}
-        out[i] = json.dumps(row, ensure_ascii=False, default=str)
-    return pa.array(out, type=pa.string())
-
-
-def _jsonable(value):
-    if isinstance(value, bytes):
-        return value.decode('utf-8', 'backslashreplace')
-    return value
+def _original_column(table: pa.Table, error_mask: np.ndarray) -> pa.Array:
+    """The errored rows' own input columns as one struct, null on clean
+    rows: one take whose indices are null on the clean rows."""
+    clean = ~error_mask
+    rows = table.take(pa.array(np.arange(table.num_rows), mask=clean))
+    return pa.StructArray.from_arrays(
+        [c.combine_chunks() for c in rows.columns],
+        names=table.column_names, mask=pa.array(clean),
+    )
 
 
 class ValidateStage:
@@ -229,15 +220,21 @@ class ValidateStage:
         return self.validator.validate_table(batch)
 
 
+def dlq_rows(rejected: pa.Table) -> pa.Table:
+    """The dead-letter layout of validated rows that all carry errors: each
+    row's own input columns, with their input types, plus ``_errors``."""
+    return pa.Table.from_struct_array(rejected.column(ORIGINAL_COLUMN)) \
+        .append_column(ERRORS_COLUMN, rejected.column(ERRORS_COLUMN))
+
+
 def split_clean_dlq(table: pa.Table) -> Tuple[pa.Table, pa.Table]:
     """Split a validated table into (clean, dlq).
 
-    Clean rows drop the protocol columns; DLQ rows keep the original JSON
-    payload + errors.
+    Clean rows drop the protocol columns; DLQ rows are in the dead-letter
+    layout (:func:`dlq_rows`).
     """
     has_errors = pc.greater(pc.list_value_length(table.column(ERRORS_COLUMN)), 0)
     clean = table.filter(pc.invert(has_errors)).drop_columns(
         [ERRORS_COLUMN, ORIGINAL_COLUMN],
     )
-    dlq = table.filter(has_errors).select([ORIGINAL_COLUMN, ERRORS_COLUMN])
-    return clean, dlq
+    return clean, dlq_rows(table.filter(has_errors))

@@ -12,7 +12,9 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
         manifest.json                 # hwm_lsn, rows, sha256, counts, deltas
         history/delta-<lo>-<hi>.parquet  # retained commit snapshots
       _dlq/part=<p>/
-        dlq-<lo>-<hi>.parquet         # dead-letter rows, one file per commit
+        dlq-<lo>-<hi>.parquet         # dead-letter rows, one file per commit:
+                                      # the events' own input columns with
+                                      # their Arrow types, plus _errors
 
 Commit protocol (idempotent under task retry):
 

@@ -55,9 +55,12 @@ def test_all_invalid_log_goes_entirely_to_dlq(tmp_path):
     assert counts['empty'] == n
     assert counts['malformed'] == n
 
-    dlq = pipeline.dlq_dataset().to_pandas()
+    dlq = pipeline.dlq_dataset().to_pandas().sort_values('lsn')
     assert len(dlq) == n
-    assert '_original' in dlq.columns
+    # The DLQ keeps each rejected event's own columns as delivered.
+    assert dlq['lsn'].tolist() == list(range(n))
+    assert set(dlq['op']) == {'frobnicate'}
+    assert set(dlq['commit']) == {'zz'}
 
 
 @pytest.mark.usefixtures('ray_session')

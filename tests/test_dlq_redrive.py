@@ -90,14 +90,13 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
     """ADVICE r1: a crash AFTER the manifest commit but BEFORE the DLQ
     file swap must lose no dead-letter rows — the old DLQ stays intact,
     and re-running the redrive converges to the correct state."""
-    import json as _json
     import os
 
     import ray.data as rd
 
     from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
     from filters_ray.sources.synth import LANGS
-    from filters_ray.stages.validate import ORIGINAL_COLUMN
+    from filters_ray.stages.validate import ERRORS_COLUMN
 
     lake = str(tmp_path / 'lake3')
     pipeline = CDCPipeline(lake, num_partitions=1)
@@ -113,17 +112,9 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
     # Build the redrive group IN-PROCESS (replay_dlq's stages, no Ray)
     # so the injected crash hits the upsert function directly.
     import pyarrow.parquet as pq
-    dlq_table = pa.concat_tables([
+    events = pa.concat_tables([
         pq.read_table(os.path.join(dlq_dir, f)) for f in files_before
-    ])
-    rows = [_json.loads(s) for s in dlq_table.column(ORIGINAL_COLUMN).to_pylist()]
-    events = pa.table({
-        'lsn': pa.array([r.get('lsn') for r in rows], type=pa.int64()),
-        **{
-            c: pa.array([r.get(c) for r in rows], type=pa.string())
-            for c in ('op', 'repo', 'path', 'commit', 'lang', 'content')
-        },
-    })
+    ]).drop_columns([ERRORS_COLUMN])
     stage = CDCValidateStage(num_partitions=1, langs=list(LANGS) + ['klingon'])
     group = stage(events)
 
@@ -197,3 +188,91 @@ def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
     assert pipeline.final_table().num_rows == 30
     for d in (pipeline.store.partition_dir(0), pipeline.store.dlq_dir(0)):
         assert not [f for f in os.listdir(d) if '.tmp' in f], d
+
+
+def _event(lsn, lang='py', **extra) -> dict:
+    return {'lsn': lsn, 'op': 'insert', 'repo': 'org/r', 'path': f'f{lsn}',
+            'commit': 'a' * 40, 'lang': lang, 'content': f'body {lsn}',
+            **extra}
+
+
+# Each log has one clean event (lsn 0) and one event rejected for its
+# lang (lsn 1 or "3"); the redrive widens the langs. Each case carries a
+# column whose type a per-row JSON detour through the DLQ would lose.
+_TYPED_CASES = {
+    # Non-UTF-8 bytes must stay non-UTF-8, so the row stays dead.
+    'binary_content': (
+        pa.Table.from_pylist(
+            [_event(0, content=b'ok'),
+             _event(1, lang='klingon', content=b'\xff\xfeok')],
+            schema=pa.schema([('lsn', pa.int64())] + [
+                (c, pa.string()) for c in ('op', 'repo', 'path', 'commit', 'lang')
+            ] + [('content', pa.binary())]),
+        ),
+        0, {'wrong_encoding': 1, 'empty': 1}, 'f1', None,
+    ),
+    # An int64 extra column comes back as int64, not as a string.
+    'int64_extra_column': (
+        pa.Table.from_pylist([_event(0, stars=5), _event(1, 'klingon', stars=7)]),
+        1, {}, 'f1', {'stars': 7, 'last_lsn': 1},
+    ),
+    # A string lsn the Int chain accepts keeps its value.
+    'string_lsn': (
+        pa.Table.from_pylist([
+            dict(_event(0), lsn='0'),
+            dict(_event(3, 'klingon'), lsn='3'),
+        ]),
+        1, {}, 'f3', {'last_lsn': 3, 'lang': 'klingon'},
+    ),
+}
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('case', sorted(_TYPED_CASES))
+def test_redrive_keeps_input_types(tmp_path, case):
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    log, applied, counts, path, expect = _TYPED_CASES[case]
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    pipeline.run(rd.from_arrow(log))
+    dlq = pipeline.dlq_dataset()
+    assert dlq.schema().base_schema == log.schema
+    assert dlq.take_all() == log.slice(1).to_pylist()
+
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redrive.events_applied == applied
+    assert pipeline.rejection_counts() == counts
+    assert pipeline.dlq_dataset().count() == 1 - applied
+    row = pipeline.lookup('org/r', path)
+    if expect is None:
+        assert row is None
+    else:
+        assert {k: row[k] for k in expect} == expect
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_dlq_schema_widens_across_commits(tmp_path):
+    """A column that first appears in a later run's DLQ file is read for
+    every DLQ row (null on the earlier rows), and redrive lands it."""
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+        [_event(0), _event(1, 'klingon')])))
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+        [_event(10, branch='main'), _event(11, 'klingon', branch='dev')])))
+
+    dlq = pipeline.dlq_dataset().to_pandas().sort_values('lsn')
+    assert dlq['lsn'].tolist() == [1, 11]
+    assert dlq['branch'].tolist() == [None, 'dev']
+    assert '_errors' not in dlq.columns
+
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redrive.events_applied == 2
+    assert pipeline.lookup('org/r', 'f11')['branch'] == 'dev'
+    assert pipeline.lookup('org/r', 'f1')['branch'] is None
+    assert pipeline.dlq_dataset().count() == 0

@@ -111,10 +111,9 @@ def test_split_clean_dlq():
     assert clean.num_rows == 1
     assert dlq.num_rows == 1
     assert ERRORS_COLUMN not in clean.column_names
-    # DLQ preserves the original payload.
-    import json
-    raw = json.loads(dlq.column('_original').to_pylist()[0])
-    assert raw['id'] == 'x'
+    # DLQ preserves the original payload, typed as it arrived.
+    assert dlq.column('id').to_pylist() == ['x']
+    assert dlq.column('id').type == pa.string()
 
 
 def test_row_rule():

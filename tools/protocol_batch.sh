@@ -18,7 +18,9 @@ set -u
 BENCH_DIR=${BENCH_DIR:-/tmp/bench_repo}
 OUT=${OUT:-/tmp/protocol_batch_r5.jsonl}
 RUNS=${RUNS:-5}
-BATCH=${BATCH_TAG:-b0}
+# The invocation's start time is part of the tag: a restarted runner
+# gets a new tag, so (batch, run) keys stay unique in OUT.
+BATCH=${BATCH_TAG:-b0}-$(date +%s)
 # 48M default (was 16M through round 4): the round-5 code's 8-side moved
 # up to 535-592k events/s, so at 16M the 32-wide level finishes in ~9.5s
 # of which ~2s is fixed scheduler/shuffle-coordination floor (21% of
