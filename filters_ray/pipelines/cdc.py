@@ -61,6 +61,7 @@ from ..state.manifest import (
     ManifestStore,
     PartitionManifest,
     TableMeta,
+    _atomic_write_json,
 )
 from ..state.registry import align_table, widen_schema
 from ..stages.validate import (
@@ -515,10 +516,16 @@ def _publish(store: ManifestStore, pid: int, table: pa.Table, dest: str,
     then rename it to ``dest`` — the one tmp-write-then-rename of the
     lake. ``defer=True`` leaves the rename to the caller and returns the
     tmp path (the base file, which :meth:`ManifestStore.commit_partition`
-    publishes, and redrive's DLQ, which is swapped after the commit)."""
+    publishes, and redrive's DLQ, which is swapped after the commit).
+
+    Every lake file is zstd without dictionary pages: the unique key and
+    content columns (40-hex ``commit`` shas above all) gain nothing from a
+    dictionary, and zstd's entropy coder packs hex text that snappy
+    cannot. Readers need no setting, since Parquet records the codec per
+    column chunk."""
     os.makedirs(os.path.dirname(dest), exist_ok=True)
     tmp = store.tmp_path(pid, kind=kind)
-    pq.write_table(table, tmp)
+    pq.write_table(table, tmp, compression='zstd', use_dictionary=False)
     if defer:
         return tmp
     os.replace(tmp, dest)
@@ -605,10 +612,11 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
                     deltas=deltas, history=history), None
     if mode == 'delta':
         delta, name = _lww_snapshot(incoming)
-        _publish(store, pid, delta, store.delta_path(pid, name), 'delta')
+        delta_path = store.delta_path(pid, name)
+        _publish(store, pid, delta, delta_path, 'delta')
         if retain_history:
             # Hardlink the just-written delta (same bytes, no 2nd write).
-            store.retain_to_history(pid, store.delta_path(pid, name), name)
+            store.retain_to_history(pid, delta_path, name)
             history = _append_new(history, name)
         # Exact live-row count WITHOUT touching content bytes: merge the
         # key columns only (column-pruned reads of base + deltas).
@@ -622,7 +630,7 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
             f'{last.sha256}:{_canonical_digest(delta)}'.encode(),
         ).hexdigest()
         return dict(rows=_merge_partition_tables(keys).num_rows,
-                    bytes=last.bytes + int(delta.nbytes), sha256=sha,
+                    bytes=last.bytes + os.path.getsize(delta_path), sha256=sha,
                     deltas=_append_new(deltas, name), history=history), None
     # rewrite: the full canonical state in hand. The folded-away deltas
     # were retained at their own commits; only this batch is new history.
@@ -632,11 +640,11 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         history = _append_new(history, name)
     alive = _merge_partition_tables(
         _read_partition_tables(store, pid, last) + [incoming])
-    tmp = None
+    tmp, nbytes = None, 0
     if alive.num_rows:
         tmp = _publish(store, pid, alive, store.data_path(pid), 'data', defer=True)
-    return dict(rows=alive.num_rows,
-                bytes=int(alive.nbytes) if alive.num_rows else 0,
+        nbytes = os.path.getsize(tmp)
+    return dict(rows=alive.num_rows, bytes=nbytes,
                 sha256=_canonical_digest(alive),
                 deltas=[], history=history), tmp
 
@@ -1042,10 +1050,7 @@ class CDCPipeline:
             if names:
                 total.add(self.run([os.path.join(events_dir, f) for f in names]))
                 processed.update(names)
-                tmp = ledger_path + '.tmp'
-                with open(tmp, 'w') as fh:
-                    json.dump({'files': sorted(processed)}, fh)
-                os.replace(tmp, ledger_path)
+                _atomic_write_json(ledger_path, {'files': sorted(processed)})
                 batches += 1
                 last_progress = time.monotonic()
                 if max_batches is not None and batches >= max_batches:

@@ -16,6 +16,14 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # the events' own input columns with
                                       # their Arrow types, plus _errors
 
+Every parquet file above is zstd (default level) without dictionary pages,
+written by the lake's one writer (``_publish`` in ``pipelines/cdc.py``).
+Parquet records the codec per column chunk, so readers need no setting and
+a lake still holding older snappy files reads as before; its partitions
+move to zstd as they compact. A manifest's ``bytes`` is the on-disk size of
+the partition's ``data.parquet`` plus its listed delta files (history and
+DLQ files are not counted).
+
 Commit protocol (idempotent under task retry):
 
 1. write ``data.parquet.tmp-<nonce>`` + ``manifest.json.tmp-<nonce>``
@@ -71,7 +79,7 @@ class PartitionManifest:
     partition_id: int
     hwm_lsn: int            # highest LSN applied into this partition
     rows: int               # LIVE rows in the merged (base ∪ deltas) view
-    bytes: int
+    bytes: int              # on-disk size of data.parquet + listed deltas
     sha256: str             # canonical-state digest (chained on delta commits)
     rejected_by_code: Dict[str, int] = field(default_factory=dict)
     events_applied: int = 0

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -166,11 +164,7 @@ class CompiledChain:
         dictionary fast path fires on parquet-decoded input; returns the
         DictionaryArray, or None to take the plain path. Output values and
         error masks are identical either way (`_apply_dictionary` gathers
-        decoded results back through the indices; parity-tested).
-
-        ``GRAFT_NO_AUTO_DICT=1`` holds the gate shut (A/B benchmarking)."""
-        if os.environ.get('GRAFT_NO_AUTO_DICT'):
-            return None
+        decoded results back through the indices; parity-tested)."""
         if len(arr) < self._DICT_MIN_ROWS:
             return None
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):

@@ -40,12 +40,13 @@ def golden_state(pipeline: CDCPipeline) -> dict:
     return out
 
 
-def run_golden_sequence(lake: str) -> list:
+def run_golden_sequence(lake: str, after_step=None) -> list:
     """The :data:`STEPS` on a fresh lake; the golden state after each.
 
     The log is cut in arrival order at multiples of its 16-event
     disorder window, so re-delivered corrupt (negative) lsns reach later
-    runs and exercise the no-recount rule."""
+    runs and exercise the no-recount rule. ``after_step(pipeline, step)``,
+    when given, is called after each step, once its state is recorded."""
     import ray.data as rd
 
     cfg = SynthConfig(n_keys=60, n_events=800, n_repos=6, seed=5)
@@ -54,14 +55,20 @@ def run_golden_sequence(lake: str) -> list:
     pipeline = CDCPipeline(lake, num_partitions=4, compact_every=2,
                            retain_history=True)
     states = []
+
+    def record() -> None:
+        states.append(golden_state(pipeline))
+        if after_step is not None:
+            after_step(pipeline, STEPS[len(states) - 1])
+
     for a, b in zip(cuts, cuts[1:]):
         pipeline.run(rd.from_arrow(log.slice(a, b - a)))
-        states.append(golden_state(pipeline))
+        record()
     vacuum_before = max(int(m['hwm_lsn']) for m in states[1].values()) + 1
     pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
-    states.append(golden_state(pipeline))
+    record()
     pipeline.vacuum_history(before_lsn=vacuum_before)
-    states.append(golden_state(pipeline))
+    record()
     return states
 
 
