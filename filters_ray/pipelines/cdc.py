@@ -43,6 +43,7 @@ Scale design (SURVEY.md §4):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -510,26 +511,20 @@ def _parse_delta_range(name: str) -> Optional[tuple]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _publish(store: ManifestStore, pid: int, table: pa.Table, dest: str,
-             kind: str, defer: bool = False) -> Optional[str]:
-    """Write ``table`` to a unique tmp file in the partition directory,
-    then rename it to ``dest`` — the one tmp-write-then-rename of the
-    lake. ``defer=True`` leaves the rename to the caller and returns the
-    tmp path (the base file, which :meth:`ManifestStore.commit_partition`
-    publishes, and redrive's DLQ, which is swapped after the commit).
+def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
+    """Write ``table`` to a unique tmp file in the partition directory and
+    return its path — the lake's one parquet writer. Nothing here renames:
+    :meth:`ManifestStore.commit_partition` publishes the tmp file (redrive's
+    DLQ is swapped in after its commit).
 
     Every lake file is zstd without dictionary pages: the unique key and
     content columns (40-hex ``commit`` shas above all) gain nothing from a
     dictionary, and zstd's entropy coder packs hex text that snappy
     cannot. Readers need no setting, since Parquet records the codec per
     column chunk."""
-    os.makedirs(os.path.dirname(dest), exist_ok=True)
     tmp = store.tmp_path(pid, kind=kind)
     pq.write_table(table, tmp, compression='zstd', use_dictionary=False)
-    if defer:
-        return tmp
-    os.replace(tmp, dest)
-    return None
+    return tmp
 
 
 def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
@@ -550,12 +545,11 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
     ))
 
 
-def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
-               defer: bool) -> tuple:
+def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table) -> tuple:
     """Step 2: one range-keyed DLQ file per commit, deterministic per
     replay window, holding the rejected events' own typed columns plus
     ``_errors`` (the raw lsn is not stored: validating the file's ``lsn``
-    derives it again). Returns ``(final path, deferred tmp path)``; both are
+    derives it again). Returns ``(final path, staged tmp path)``; both are
     None when nothing was rejected."""
     if not dlq.num_rows:
         return None, None
@@ -563,7 +557,8 @@ def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
     final = os.path.join(store.dlq_dir(pid), f'dlq-{lo}-{hi}.parquet')
     out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
-    return final, _publish(store, pid, out, final, 'dlq', defer=defer)
+    os.makedirs(store.dlq_dir(pid), exist_ok=True)
+    return final, _stage(store, pid, out, 'dlq')
 
 
 def _account_dlq(dlq: pa.Table, rejected: Dict[str, int],
@@ -601,23 +596,17 @@ def _lww_snapshot(incoming: pa.Table) -> tuple:
 
 def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
                  incoming: pa.Table, mode: str, retain_history: bool) -> tuple:
-    """Step 4: write the partition's new state in ``mode`` over the last
-    committed one and return ``(manifest state fields, staged base tmp
-    path or None)``."""
+    """Step 4: stage the partition's new state in ``mode`` over the last
+    committed one and return ``(manifest state fields, staged files)``, the
+    staged files a ``{final path: tmp path}`` map for the commit."""
     deltas, history = list(last.deltas), list(last.history)
     if mode == 'noop':
         # A never-committed partition (empty sha256) gets the empty digest.
         sha = last.sha256 or _canonical_digest(incoming)
         return dict(rows=last.rows, bytes=last.bytes, sha256=sha,
-                    deltas=deltas, history=history), None
+                    deltas=deltas, history=history), {}
     if mode == 'delta':
         delta, name = _lww_snapshot(incoming)
-        delta_path = store.delta_path(pid, name)
-        _publish(store, pid, delta, delta_path, 'delta')
-        if retain_history:
-            # Hardlink the just-written delta (same bytes, no 2nd write).
-            store.retain_to_history(pid, delta_path, name)
-            history = _append_new(history, name)
         # Exact live-row count WITHOUT touching content bytes: merge the
         # key columns only (column-pruned reads of base + deltas).
         keys = _read_partition_tables(store, pid, last,
@@ -629,24 +618,29 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         sha = hashlib.sha256(
             f'{last.sha256}:{_canonical_digest(delta)}'.encode(),
         ).hexdigest()
-        return dict(rows=_merge_partition_tables(keys).num_rows,
-                    bytes=last.bytes + os.path.getsize(delta_path), sha256=sha,
-                    deltas=_append_new(deltas, name), history=history), None
+        if retain_history:  # the delta file is also the history entry
+            history = _append_new(history, name)
+        tmp = _stage(store, pid, delta, 'delta')
+        state = dict(rows=_merge_partition_tables(keys).num_rows,
+                     bytes=last.bytes + os.path.getsize(tmp), sha256=sha,
+                     deltas=_append_new(deltas, name), history=history)
+        return state, {store.delta_path(pid, name): tmp}
     # rewrite: the full canonical state in hand. The folded-away deltas
     # were retained at their own commits; only this batch is new history.
-    if retain_history and incoming.num_rows:
-        snap, name = _lww_snapshot(incoming)
-        _publish(store, pid, snap, store.history_path(pid, name), 'hist')
-        history = _append_new(history, name)
     alive = _merge_partition_tables(
         _read_partition_tables(store, pid, last) + [incoming])
-    tmp, nbytes = None, 0
+    staged = {}
+    if retain_history and incoming.num_rows:
+        snap, name = _lww_snapshot(incoming)
+        staged[store.delta_path(pid, name)] = _stage(store, pid, snap, 'hist')
+        history = _append_new(history, name)
+    nbytes = 0
     if alive.num_rows:
-        tmp = _publish(store, pid, alive, store.data_path(pid), 'data', defer=True)
+        tmp = staged[store.data_path(pid)] = _stage(store, pid, alive, 'data')
         nbytes = os.path.getsize(tmp)
     return dict(rows=alive.num_rows, bytes=nbytes,
                 sha256=_canonical_digest(alive),
-                deltas=[], history=history), tmp
+                deltas=[], history=history), staged
 
 
 def _append_new(names: List[str], name: str) -> List[str]:
@@ -683,13 +677,14 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
     after it, so a crash mid-redrive never loses dead-letter rows
     (ADVICE r1: atomic redrive swap).
 
-    ``retain_history``: every commit also publishes its (within-run
-    LWW'd, tombstones kept) delta snapshot under ``part=<p>/history/``
-    and lists it in the manifest's ``history`` — the record behind the
-    change-data-feed (:meth:`CDCPipeline.changes`) and as-of-LSN time
-    travel (:meth:`CDCPipeline.table_as_of`). Commit granularity, like
-    Delta Lake CDF: versions a key overwrote *within* one micro-batch
-    are collapsed by that batch's LWW.
+    ``retain_history``: every commit also lists its (within-run LWW'd,
+    tombstones kept) delta snapshot in the manifest's ``history``: a
+    delta commit's own delta file, or one extra snapshot file beside a
+    rewrite's base. That is the record behind the change-data-feed
+    (:meth:`CDCPipeline.changes`) and as-of-LSN time travel
+    (:meth:`CDCPipeline.table_as_of`). Commit granularity, like Delta
+    Lake CDF: versions a key overwrote *within* one micro-batch are
+    collapsed by that batch's LWW.
 
     ``concurrency``: how concurrent writers into one partition
     serialize (VERDICT r4 #3). ``'flock'`` (default) holds the advisory
@@ -753,7 +748,6 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
         # A re-delivered invalid event is one rejection, not two.
         dlq = _dedup_by_lsn(fresh.filter(has_errors))
 
-        dlq_file, dlq_tmp = _write_dlq(store, pid, dlq, defer=redrive)
         if redrive:
             rejected, corrupt = _account_dlq(dlq, {}, [])
         else:
@@ -779,13 +773,17 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
         max_lsn = pc.max(fresh.column(RAW_LSN_COLUMN)).as_py()
         hwm = last.hwm_lsn if max_lsn is None else max(last.hwm_lsn, max_lsn)
         skipped = group.num_rows - fresh.num_rows
+        staged, dlq_tmp = {}, None
         try:
-            state, tmp_data = _write_state(
+            state, staged = _write_state(
                 store, pid, last, incoming, mode, retain_history)
-            # Step 5: the data/delta files are in place; the manifest
-            # commit, conditional on the version read above in BOTH
-            # modes (under flock it always matches — a free lost-update
-            # detector; under 'cas' it is the protocol), publishes them.
+            dlq_file, dlq_tmp = _write_dlq(store, pid, dlq)
+            if dlq_file is not None and not redrive:
+                staged[dlq_file] = dlq_tmp
+            # Step 5: one commit, conditional on the version read above
+            # in BOTH modes (under flock it always matches — a free
+            # lost-update detector; under 'cas' it is the protocol),
+            # publishes the staged files with the manifest.
             store.commit_partition(
                 PartitionManifest(
                     partition_id=pid,
@@ -796,15 +794,16 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
                     dlq_corrupt_lsns=corrupt,
                     **state,
                 ),
-                tmp_data, remove_data=mode == 'rewrite' and tmp_data is None,
+                staged, remove_data=mode == 'rewrite',
                 expected_version=last.commit_version,
             )
         except Exception:
-            if dlq_tmp is not None:  # a lost race must not strand it
-                os.remove(dlq_tmp)
+            # A failed attempt must not strand its tmp files.
+            for tmp in [*staged.values(), dlq_tmp]:
+                if tmp is not None:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(tmp)
             raise
-        if mode == 'rewrite':
-            store.clean_orphan_deltas(pid, [])
         if redrive:
             # Committed — now swap the DLQ: promote the replacement,
             # then drop the obsolete range files.
@@ -824,71 +823,36 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
 def _vacuum_partition(lake_root: str, pid: int, before_lsn: int) -> int:
     """One partition's vacuum cycle (see :meth:`CDCPipeline.vacuum_history`
     for semantics): collapse the sub-``before_lsn`` history window into a
-    checkpoint, record the floor, reclaim the dropped files. Runs under
-    the partition lock — safe alongside concurrent writers and other
+    checkpoint and record the floor; the commit removes the dropped files
+    no active delta still needs. With nothing to collapse it only sweeps
+    crash debris (ADVICE r4). Returns the number of files removed. Runs
+    under the partition lock — safe alongside concurrent writers and other
     vacuums. Module-level so it ships as a Ray task."""
     store = ManifestStore(lake_root)
-    removed = 0
     with store.partition_lock(pid):
         manifest = store.read_manifest(pid)
         if manifest is None:
             return 0
-        # Orphan sweep (ADVICE r4): a crash between a previous vacuum's
-        # manifest commit and its file removals strands history files no
-        # manifest lists — re-running vacuum would never touch them.
-        # Under the lock the manifest is the read authority, so removing
-        # unlisted files only reclaims space (mirrors
-        # clean_orphan_deltas for the partition dir).
-        hist_dir = store.history_dir(pid)
-        if os.path.isdir(hist_dir):
-            listed = set(manifest.history)
-            for name in os.listdir(hist_dir):
-                if (
-                    name.startswith('delta-') and name.endswith('.parquet')
-                    and name not in listed
-                ):
-                    try:
-                        os.remove(os.path.join(hist_dir, name))
-                        removed += 1
-                    except FileNotFoundError:
-                        pass
-        if not manifest.history:
-            return removed
-        keep, drop, drop_rng = [], [], []
+        keep, drop = [], {}
         for name in manifest.history:
             rng = _parse_delta_range(name)
             if rng is not None and rng[1] < before_lsn:
-                drop.append(name)
-                drop_rng.append(rng)
+                drop[name] = rng
             else:
                 keep.append(name)
         if not drop:
-            return removed
-        tables = []
-        for name in drop:
-            p = store.history_path(pid, name)
-            if os.path.exists(p):
-                tables.append(_ensure_op(pq.read_table(p)))
-        lo = min(r[0] for r in drop_rng)
-        hi = max(r[1] for r in drop_rng)
-        ckpt_name = None
-        if tables:
-            ckpt = _last_writer_wins(_concat_widened(tables))
-            ckpt_name = f'delta-{lo}-{hi}.parquet'
-            _publish(store, pid, ckpt, store.history_path(pid, ckpt_name), 'vac')
-        manifest.history = ([ckpt_name] if ckpt_name else []) + keep
+            return store.sweep(pid)
+        ckpt = _last_writer_wins(_concat_widened([
+            _ensure_op(pq.read_table(store.delta_path(pid, name)))
+            for name in drop]))
+        lo = min(r[0] for r in drop.values())
+        hi = max(r[1] for r in drop.values())
+        ckpt_name = f'delta-{lo}-{hi}.parquet'
+        manifest.history = [ckpt_name] + keep
         manifest.history_floor_lsn = max(manifest.history_floor_lsn, hi)
-        store.commit_partition(manifest, None, remove_data=False,
-                               expected_version=manifest.commit_version)
-        for name in drop:
-            if name == ckpt_name:
-                continue  # collapsed in place (single-file window)
-            try:
-                os.remove(store.history_path(pid, name))
-                removed += 1
-            except FileNotFoundError:
-                pass
-    return removed
+        staged = {store.delta_path(pid, ckpt_name): _stage(store, pid, ckpt, 'vac')}
+        return store.commit_partition(manifest, staged, remove_data=False,
+                                      expected_version=manifest.commit_version)
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +907,13 @@ class CDCPipeline:
                     meta = TableMeta(num_partitions=num_partitions,
                                      retain_history=retain_history)
                     store.write_meta(meta)
+        if meta.retain_history and meta.version < 2:
+            raise ValueError(
+                f'{lake_root} is a layout-version-{meta.version} lake with '
+                'retained history under part=<p>/history/; this version keeps '
+                'every commit snapshot in part=<p>/ (layout version 2) and '
+                'cannot read it',
+            )
         # The pinned settings win (a no-op for the creator): partition
         # count for replay determinism; retention because a lake that
         # ever compacted without it has unfillable history holes.
@@ -1100,8 +1071,9 @@ class CDCPipeline:
                         until_lsn: Optional[int]) -> Dict[int, List[str]]:
         """Per partition, the history file paths whose LSN window
         overlaps (since_lsn, until_lsn] — filename-pruned, no file
-        reads. Refuses when ``floor_check`` lies below a partition's
-        vacuum floor: that window was collapsed by vacuum_history()."""
+        reads; every listed file exists (the one liveness rule). Refuses
+        when ``floor_check`` lies below a partition's vacuum floor: that
+        window was collapsed by vacuum_history()."""
         out: Dict[int, List[str]] = {}
         for pid in range(self.num_partitions):
             manifest = self.store.read_manifest(pid)
@@ -1120,9 +1092,7 @@ class CDCPipeline:
                 if rng is None or rng[1] <= since_lsn or (
                         until_lsn is not None and rng[0] > until_lsn):
                     continue
-                p = self.store.history_path(pid, name)
-                if os.path.exists(p):
-                    paths.append(p)
+                paths.append(self.store.delta_path(pid, name))
         return out
 
     def changes_dataset(self, since_lsn: int = -1,
@@ -1213,7 +1183,8 @@ class CDCPipeline:
         result). The partition's ``history_floor_lsn`` records the
         collapse boundary: as-of / changes requests *inside* the
         vacuumed window raise instead of returning collapsed history.
-        Manifest commits first; file removal after (crash-safe).
+        The commit removes the dropped files, except those still active
+        as deltas (compaction drops them later).
 
         Partitions vacuum independently (each under its own partition
         lock), so the work fans out as one Ray task per partition when a

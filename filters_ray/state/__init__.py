@@ -1,12 +1,11 @@
-"""State: manifests, high-watermarks, schema registry."""
+"""State: manifests, high-watermarks, schema widening."""
 
 from .manifest import ManifestStore, PartitionManifest, TableMeta
-from .registry import SchemaRegistry, align_table, widen_schema
+from .registry import align_table, widen_schema
 
 __all__ = [
     'ManifestStore',
     'PartitionManifest',
-    'SchemaRegistry',
     'TableMeta',
     'align_table',
     'widen_schema',

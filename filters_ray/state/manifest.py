@@ -4,44 +4,59 @@ Layout (design point: 10^10 events, fixed partition count P recorded in the
 table-level meta so replay reshuffles identically — SURVEY.md §4)::
 
     <lake_root>/
-      _meta.json                      # num_partitions, key columns, retention
+      _meta.json                      # num_partitions, key columns, retention,
+                                      # layout version (2: one directory)
       _ingest_ledger.json             # files tail() has ingested
       part=<p>/
         data.parquet                  # base rows, sorted by (repo, path)
-        delta-<lo>-<hi>.parquet       # per-micro-batch upsert deltas
-        manifest.json                 # hwm_lsn, rows, sha256, counts, deltas
-        history/delta-<lo>-<hi>.parquet  # retained commit snapshots
+        delta-<lo>-<hi>.parquet       # commit snapshots: active deltas and
+                                      # retained history, one file each
+        manifest.json                 # hwm_lsn, rows, sha256, counts,
+                                      # deltas, history
       _dlq/part=<p>/
         dlq-<lo>-<hi>.parquet         # dead-letter rows, one file per commit:
                                       # the events' own input columns with
                                       # their Arrow types, plus _errors
 
 Every parquet file above is zstd (default level) without dictionary pages,
-written by the lake's one writer (``_publish`` in ``pipelines/cdc.py``).
-Parquet records the codec per column chunk, so readers need no setting and
-a lake still holding older snappy files reads as before; its partitions
-move to zstd as they compact. A manifest's ``bytes`` is the on-disk size of
-the partition's ``data.parquet`` plus its listed delta files (history and
-DLQ files are not counted).
+written to a tmp file by the lake's one writer (``_stage`` in
+``pipelines/cdc.py``). Parquet records the codec per column chunk, so
+readers need no setting and a lake still holding older snappy files reads
+as before; its partitions move to zstd as they compact. A manifest's
+``bytes`` is the on-disk size of the partition's ``data.parquet`` plus its
+listed delta files (history-only and DLQ files are not counted).
+
+One liveness rule: a ``delta-*.parquet`` file exists iff the committed
+manifest lists it in ``deltas`` (merged on read) or ``history`` (the
+change feed and time travel), or both — a delta batch and its history
+entry are the same file. :meth:`ManifestStore.commit_partition` is the
+only code that adds files to a partition or removes them: in one critical
+section it renames the staged tmp files into place, writes the manifest,
+and removes every snapshot file the new manifest no longer lists
+(compacted deltas, vacuumed history). The redrive DLQ swap, which runs
+after its commit, is the one file move outside it. Layout version 1 kept
+retained history in a second directory, ``part=<p>/history/``, as
+hardlinks; a version-1 lake with retention does not open.
 
 Commit protocol (idempotent under task retry):
 
-1. write ``data.parquet.tmp-<nonce>`` + ``manifest.json.tmp-<nonce>``
-2. ``os.replace`` data/delta, then manifest (atomic on POSIX)
+1. write every new file as ``<kind>.parquet.tmp-<nonce>``
+2. under the commit lock: ``os.replace`` each into place, write
+   ``manifest.json`` (atomic on POSIX), remove the unlisted snapshots
 
 A partition is committed iff its ``manifest.json`` exists; a crashed task
-leaves only tmp files, and a retried/resumed task overwrites them. On
-resume, events with ``lsn <= hwm_lsn`` are dropped before merging, so
-replaying any suffix (or the whole log) reproduces the identical table.
+leaves only tmp files (and, dying mid-commit, unlisted snapshots the next
+commit or :meth:`ManifestStore.sweep` removes). On resume, events with
+``lsn <= hwm_lsn`` are dropped before merging, so replaying any suffix (or
+the whole log) reproduces the identical table.
 
 Delta protocol (VERDICT r2 #5 — no full-partition rewrite per
 micro-batch): a run appends one sorted delta file per touched partition
 (name derived from the run's LSN range, so a replayed window overwrites
-its own file); the manifest's ``deltas`` list is the authority — files
-not listed are orphans and are ignored by every reader. Readers
-merge-on-read (base ∪ deltas, last-writer-wins, tombstones dropped);
-when the list reaches the pipeline's ``compact_every`` the partition is
-compacted back into one base file and the list empties.
+its own file); the manifest's ``deltas`` list is the authority for
+readers, which merge-on-read (base ∪ deltas, last-writer-wins, tombstones
+dropped); when the list reaches the pipeline's ``compact_every`` the
+partition is compacted back into one base file and the list empties.
 """
 
 from __future__ import annotations
@@ -92,7 +107,8 @@ class PartitionManifest:
     # (incremental DLQ accounting, VERDICT r2 #3).
     dlq_corrupt_lsns: list = field(default_factory=list)
     # Retained commit history (ordered, oldest first): one LWW'd delta
-    # snapshot per committed micro-batch, living under part=<p>/history/.
+    # snapshot per committed micro-batch, in part=<p>/ next to the deltas
+    # (a delta batch's history entry is its delta file).
     # Only written when the lake was created with retain_history=True;
     # the basis for the change-data-feed and as-of-LSN time travel.
     history: list = field(default_factory=list)
@@ -111,8 +127,10 @@ class TableMeta:
     num_partitions: int
     key_columns: tuple = ('repo', 'path')
     lsn_column: str = 'lsn'
-    version: int = 1
-    # Whether every commit retains its delta snapshot under history/
+    # Lake layout: 2 keeps every commit snapshot in part=<p>/; 1 kept
+    # retained history apart, under part=<p>/history/.
+    version: int = 2
+    # Whether every commit retains its delta snapshot in history
     # (enables changes()/table_as_of()). Fixed at lake creation: a lake
     # that ever compacted without retention has holes no later flag flip
     # can fill.
@@ -162,49 +180,6 @@ class ManifestStore:
     def delta_path(self, pid: int, name: str) -> str:
         return os.path.join(self.partition_dir(pid), name)
 
-    def history_dir(self, pid: int) -> str:
-        return os.path.join(self.partition_dir(pid), 'history')
-
-    def history_path(self, pid: int, name: str) -> str:
-        return os.path.join(self.history_dir(pid), name)
-
-    def retain_to_history(self, pid: int, src_path: str, name: str) -> None:
-        """Publish an immutable snapshot copy of ``src_path`` into the
-        partition's history as ``name``, leaving the source in place
-        (the active file must stay valid until the manifest commits).
-        Hardlink when possible (parquet files are immutable here), byte
-        copy otherwise; idempotent under retry."""
-        os.makedirs(self.history_dir(pid), exist_ok=True)
-        dst = self.history_path(pid, name)
-        if os.path.exists(dst):
-            return
-        tmp = f'{dst}.tmp-{uuid.uuid4().hex[:8]}'
-        try:
-            os.link(src_path, tmp)
-        except OSError:
-            import shutil
-
-            shutil.copyfile(src_path, tmp)
-        os.replace(tmp, dst)
-
-    def clean_orphan_deltas(self, pid: int, active: list) -> None:
-        """Remove delta files not listed in the committed manifest (crash
-        leftovers / just-compacted files). Safe post-commit: the manifest
-        is the read authority, so removal only reclaims space."""
-        keep = set(active)
-        part_dir = self.partition_dir(pid)
-        if not os.path.isdir(part_dir):
-            return
-        for name in os.listdir(part_dir):
-            if (
-                name.startswith('delta-') and name.endswith('.parquet')
-                and name not in keep
-            ):
-                try:
-                    os.remove(os.path.join(part_dir, name))
-                except FileNotFoundError:
-                    pass
-
     def read_manifest(self, pid: int) -> Optional[PartitionManifest]:
         try:
             with open(self.manifest_path(pid)) as fh:
@@ -253,16 +228,21 @@ class ManifestStore:
     def commit_partition(
         self,
         manifest: PartitionManifest,
-        tmp_data_path: Optional[str],
+        staged: Optional[Dict[str, str]] = None,
         remove_data: bool = True,
         expected_version: Optional[int] = None,
-    ) -> None:
-        """Atomically publish a partition: data first, then manifest.
+    ) -> int:
+        """Atomically publish a partition; the only code that adds files to
+        a partition or removes them. In one critical section it renames
+        the ``staged`` files (``{final path: tmp path}``: base, commit
+        snapshot, ingest DLQ file) into place, writes the manifest, and
+        removes every snapshot file the new manifest no longer lists.
+        Returns the number of files removed.
 
-        ``tmp_data_path=None`` with ``remove_data=True`` (the full-state
-        commit contract) removes a stale base — the partition became
-        empty. Delta/noop commits pass ``remove_data=False``: they don't
-        carry the full state, so an existing base must survive.
+        ``remove_data=True`` (the full-state commit contract) with no base
+        staged removes a stale base — the partition became empty.
+        Delta/noop commits pass ``remove_data=False``: they don't carry
+        the full state, so an existing base must survive.
 
         Stamps ``commit_version`` = on-disk version + 1 (callers holding
         :meth:`partition_lock` observe a strictly increasing counter —
@@ -271,30 +251,53 @@ class ManifestStore:
         ``expected_version`` (the CAS token, VERDICT r4 #3): when given,
         the commit is CONDITIONAL — it publishes only if the on-disk
         ``commit_version`` still equals it (0 = "no manifest existed"),
-        else raises :class:`CommitConflictError` and leaves the
-        partition untouched (the staged tmp data file is reclaimed; any
-        already-placed delta/DLQ files are manifest-unlisted orphans and
-        invisible to readers). Pair it with the version read at
-        read-merge start and retry on conflict — that loop is the
-        exactly-once guarantee on shared object storage, where
-        :meth:`partition_lock`'s flock does not exist."""
+        else raises :class:`CommitConflictError`, removes the staged tmp
+        files and leaves the partition untouched. Pair it with the
+        version read at read-merge start and retry on conflict — that
+        loop is the exactly-once guarantee on shared object storage,
+        where :meth:`partition_lock`'s flock does not exist."""
         pid = manifest.partition_id
+        staged = staged or {}
         os.makedirs(self.partition_dir(pid), exist_ok=True)
         with self._conditional_put(pid):
             current = self.read_manifest(pid)
             found = current.commit_version if current else 0
             if expected_version is not None and found != expected_version:
-                if tmp_data_path is not None:
+                for tmp in staged.values():
                     with contextlib.suppress(FileNotFoundError):
-                        os.remove(tmp_data_path)
+                        os.remove(tmp)
                 raise CommitConflictError(pid, expected_version, found)
             manifest.commit_version = found + 1
-            if tmp_data_path is not None:
-                os.replace(tmp_data_path, self.data_path(pid))
-            elif remove_data and os.path.exists(self.data_path(pid)):
+            for final, tmp in staged.items():
+                os.replace(tmp, final)
+            if remove_data and self.data_path(pid) not in staged:
                 # Partition became empty (all rows deleted): remove stale data.
-                os.remove(self.data_path(pid))
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.data_path(pid))
             _atomic_write_json(self.manifest_path(pid), asdict(manifest))
+            return self._remove_unlisted(manifest)
+
+    def sweep(self, pid: int) -> int:
+        """Remove the snapshot files the committed manifest does not list
+        (debris of a writer that died mid-commit), under the commit lock.
+        Returns the number removed."""
+        with self._conditional_put(pid):
+            manifest = self.read_manifest(pid)
+            return self._remove_unlisted(manifest) if manifest else 0
+
+    def _remove_unlisted(self, manifest: PartitionManifest) -> int:
+        """The liveness rule: a ``delta-*.parquet`` file in ``part=<p>/``
+        lives iff ``manifest`` lists it in ``deltas`` or ``history``."""
+        listed = set(manifest.deltas).union(manifest.history)
+        part_dir = self.partition_dir(manifest.partition_id)
+        dead = [
+            name for name in os.listdir(part_dir)
+            if name.startswith('delta-') and name.endswith('.parquet')
+            and name not in listed
+        ]
+        for name in dead:
+            os.remove(os.path.join(part_dir, name))
+        return len(dead)
 
     def tmp_path(self, pid: int, kind: str = 'data') -> str:
         os.makedirs(self.partition_dir(pid), exist_ok=True)

@@ -1,29 +1,24 @@
-"""Schema-evolution registry: serialized additive widenings.
+"""Additive schema widening for the lake (SURVEY.md §4 "state" row).
 
-A single (detached-able) Ray actor arbitrates schema changes so concurrent
-upsert tasks agree on the lake schema (SURVEY.md §4 "state" row). Widening
-rules are additive-only, mirroring FilterMapper's extra/missing-key
-semantics (reference complex.py:194-241):
+The CDC merge widens schemas in place (``widen_schema`` on every concat of
+base, deltas and batch), so a column added by a later run reads as null on
+earlier rows. Widening rules are additive-only, mirroring FilterMapper's
+extra/missing-key semantics (reference complex.py:194-241):
 
 * a new column (an "allowed extra key" in validation) is appended as a
   nullable field;
 * integer types widen int8→int16→int32→int64, float32→float64;
 * anything else (drop, rename, incompatible retype) is rejected —
   such events belong in the DLQ, not the lake.
-
-The registry persists to ``<root>/_schema.json`` so resume sees the same
-schema history.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pyarrow as pa
 
-__all__ = ['SchemaRegistry', 'widen_schema', 'align_table']
+__all__ = ['widen_schema', 'align_table']
 
 _INT_ORDER = ['int8', 'int16', 'int32', 'int64']
 _FLOAT_ORDER = ['float', 'double']  # Arrow names for float32/float64
@@ -92,76 +87,3 @@ def align_table(table: pa.Table, schema: pa.Schema) -> pa.Table:
         else:
             arrays.append(pa.nulls(table.num_rows, type=field_.type))
     return pa.table(arrays, schema=schema)
-
-
-class SchemaRegistry:
-    """Ray-actor-compatible schema arbiter with JSON persistence.
-
-    Run it as ``ray.remote(SchemaRegistry).remote(root)`` when tasks must
-    serialize widenings through one arbiter, or use it locally inside a
-    single coordinator process.
-    """
-
-    def __init__(self, root: str) -> None:
-        self._path = os.path.join(root, '_schema.json')
-        self._schema: Optional[pa.Schema] = None
-        self._history: List[str] = []
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self._path) as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return
-        self._schema = pa.schema([
-            pa.field(name, _type_from_str(tname))
-            for name, tname in payload['fields']
-        ])
-        self._history = payload.get('history', [])
-
-    def _persist(self) -> None:
-        os.makedirs(os.path.dirname(self._path), exist_ok=True)
-        payload = {
-            'fields': [[f.name, str(f.type)] for f in (self._schema or pa.schema([]))],
-            'history': self._history,
-        }
-        tmp = self._path + '.tmp'
-        with open(tmp, 'w') as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, self._path)
-
-    def current(self) -> Optional[pa.Schema]:
-        return self._schema
-
-    def register(self, incoming: pa.Schema) -> pa.Schema:
-        """Widen the registry schema with ``incoming``; returns the result."""
-        if self._schema is None:
-            self._schema = incoming
-            self._history.append(f'init: {incoming.names}')
-        else:
-            self._schema, changes = widen_schema(self._schema, incoming)
-            self._history.extend(changes)
-        self._persist()
-        return self._schema
-
-    def history(self) -> List[str]:
-        return list(self._history)
-
-
-_TYPE_PARSERS: Dict[str, pa.DataType] = {
-    'int8': pa.int8(), 'int16': pa.int16(), 'int32': pa.int32(),
-    'int64': pa.int64(), 'float': pa.float32(), 'double': pa.float64(),
-    'string': pa.string(), 'large_string': pa.large_string(),
-    'binary': pa.binary(), 'large_binary': pa.large_binary(),
-    'bool': pa.bool_(), 'date32[day]': pa.date32(),
-    'timestamp[us]': pa.timestamp('us'),
-    'timestamp[us, tz=UTC]': pa.timestamp('us', tz='UTC'),
-}
-
-
-def _type_from_str(name: str) -> pa.DataType:
-    try:
-        return _TYPE_PARSERS[name]
-    except KeyError:
-        raise ValueError(f'unsupported persisted type {name!r}') from None

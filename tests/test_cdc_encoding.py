@@ -50,12 +50,21 @@ def test_manifest_bytes_are_on_disk_bytes(tmp_path):
     assert tuple(steps) == STEPS
 
 
-def _file_kind(path: str) -> str:
+def _file_kind(pipeline, path: str) -> str:
+    """What a lake file is, by the committed manifests: a snapshot file
+    listed only in ``history`` is history, one listed in ``deltas`` a
+    delta (with retention a delta is also a history entry)."""
     if os.sep + '_dlq' + os.sep in path:
         return 'dlq'
-    if os.sep + 'history' + os.sep in path:
-        return 'history'
-    return 'base' if path.endswith('data.parquet') else 'delta'
+    if path.endswith('data.parquet'):
+        return 'base'
+    pid = int(os.path.basename(os.path.dirname(path)).split('=')[1])
+    m = pipeline.store.read_manifest(pid)
+    name = os.path.basename(path)
+    if name in m.deltas:
+        return 'delta'
+    assert name in m.history, path
+    return 'history'
 
 
 @pytest.mark.usefixtures('ray_session')
@@ -70,7 +79,7 @@ def test_every_lake_file_is_zstd_without_dictionary(tmp_path):
         for path in _parquet_files(lake):
             assert pq.ParquetFile(path).metadata.num_row_groups, path
             assert _chunk_encodings(path) == {('ZSTD', False)}, (step, path)
-            kinds.add(_file_kind(path))
+            kinds.add(_file_kind(pipeline, path))
         history[step] = {
             pid: m.history for pid, m in pipeline.store.all_manifests().items()}
 
@@ -86,7 +95,7 @@ def test_every_lake_file_is_zstd_without_dictionary(tmp_path):
 def _rewrite_as_snappy(lake: str) -> None:
     """Re-encode every parquet file in place with pyarrow's defaults
     (snappy, dictionary pages): the encoding lakes were written with
-    before. In place keeps delta → history hardlinks shared."""
+    before. In place, so each file keeps the name its manifest lists."""
     for path in _parquet_files(lake):
         table = pq.read_table(path)
         pq.write_table(table, path)

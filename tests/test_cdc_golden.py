@@ -80,3 +80,29 @@ def test_golden_manifests(tmp_path):
     assert len(states) == len(golden) == len(STEPS)
     for step, got, want in zip(STEPS, states, golden):
         assert got == want, f'state after {step} differs from the golden one'
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_snapshot_file_exists_iff_listed(tmp_path):
+    """The lake's one liveness rule, after every step: a partition's
+    ``delta-*.parquet`` files are exactly its manifest's ``deltas`` ∪
+    ``history``, all in ``part=<p>/`` (no ``history/`` directory), and
+    no tmp file outlives its commit."""
+    lake = str(tmp_path / 'lake')
+    steps = []
+
+    def check(pipeline, step):
+        for pid, m in pipeline.store.all_manifests().items():
+            part_dir = pipeline.store.partition_dir(pid)
+            on_disk = {
+                f for f in os.listdir(part_dir)
+                if f.startswith('delta-') and f.endswith('.parquet')
+            }
+            assert on_disk == set(m.deltas) | set(m.history), (step, pid)
+            assert not os.path.exists(os.path.join(part_dir, 'history')), step
+        tmp = [f for _, _, files in os.walk(lake) for f in files if '.tmp-' in f]
+        assert not tmp, (step, tmp)
+        steps.append(step)
+
+    run_golden_sequence(lake, after_step=check)
+    assert tuple(steps) == STEPS

@@ -188,6 +188,54 @@ def test_two_concurrent_cas_writers_no_lost_updates(tmp_path):
         assert m.commit_version >= 1
 
 
+def test_cas_compaction_keeps_delta_committed_right_after(tmp_path, monkeypatch):
+    """A CAS compaction must not reclaim a delta that a second writer
+    commits right after it: files leave a partition only inside the
+    commit critical section, judged by the manifest being committed.
+    The second writer runs once the compaction's commit has returned
+    (inside the critical section its .casput flock would deadlock)."""
+    import pyarrow as pa
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.state.manifest import ManifestStore
+
+    lake = str(tmp_path / 'lake')
+    pipeline = CDCPipeline(lake, num_partitions=1, compact_every=2)
+    upsert = make_upsert_fn(lake, compact_every=2, concurrency='cas')
+    validate = CDCValidateStage(num_partitions=1)
+
+    def batch(lo: int):
+        return validate(pa.Table.from_pylist([
+            {'lsn': lsn, 'op': 'insert', 'repo': 'org/r', 'path': f'f{lsn}',
+             'commit': 'a' * 40, 'lang': 'py', 'content': f'body {lsn}'}
+            for lsn in range(lo, lo + 5)
+        ]))
+
+    upsert(batch(0))   # bootstrap: the base
+    upsert(batch(5))   # one delta
+    real_commit = ManifestStore.commit_partition
+    raced = []
+
+    def commit_then_second_writer(self, manifest, staged=None, **k):
+        removed = real_commit(self, manifest, staged, **k)
+        if manifest.hwm_lsn == 14 and not raced:  # the compaction landed
+            raced.append(True)
+            upsert(batch(15))
+        return removed
+
+    monkeypatch.setattr(ManifestStore, 'commit_partition',
+                        commit_then_second_writer)
+    upsert(batch(10))  # compaction (compact_every=2), then the race
+    monkeypatch.undo()
+
+    assert raced
+    m = pipeline.store.read_manifest(0)
+    assert m.deltas == ['delta-15-19.parquet']
+    for name in m.deltas:
+        assert os.path.exists(pipeline.store.delta_path(0, name)), name
+    assert pipeline.final_table().num_rows == 20
+
+
 @pytest.mark.usefixtures('ray_session')
 def test_writer_killed_mid_commit_releases_lock(tmp_path):
     """Chaos test (VERDICT r4 #9): flock releases on process DEATH, not

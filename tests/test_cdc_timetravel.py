@@ -36,6 +36,14 @@ def _lsn_ordered_chunks(log: pa.Table, n_chunks: int):
     ]
 
 
+def _snapshot_files(pipeline: CDCPipeline, pid: int) -> set:
+    """The ``delta-*.parquet`` names on disk in one partition."""
+    return {
+        f for f in os.listdir(pipeline.store.partition_dir(pid))
+        if f.startswith('delta-') and f.endswith('.parquet')
+    }
+
+
 def _applied_max_lsn(pipeline: CDCPipeline) -> int:
     return max(
         m.hwm_lsn for m in pipeline.store.all_manifests().values()
@@ -70,7 +78,28 @@ def test_compaction_happened_and_history_retained(history_lake):
     assert any(len(m.history) > len(m.deltas) for m in manifests.values())
     for pid, m in manifests.items():
         for name in m.history:
-            assert os.path.exists(pipeline.store.history_path(pid, name))
+            assert os.path.exists(pipeline.store.delta_path(pid, name))
+
+
+def test_layout_version_1_lake_with_history_refuses(tmp_path):
+    """Layout version 1 kept retained history under part=<p>/history/;
+    opening such a lake must fail loudly rather than read a feed with
+    every pre-upgrade commit missing. A version-1 lake without retention
+    has the same layout as version 2 and opens as before."""
+    from filters_ray.state.manifest import ManifestStore, TableMeta
+
+    old = ManifestStore(str(tmp_path / 'v1-history'))
+    old.write_meta(TableMeta(num_partitions=2, version=1, retain_history=True))
+    with pytest.raises(ValueError, match='layout'):
+        CDCPipeline(old.root)
+
+    plain = ManifestStore(str(tmp_path / 'v1-plain'))
+    plain.write_meta(TableMeta(num_partitions=2, version=1))
+    assert CDCPipeline(plain.root).num_partitions == 2
+    assert plain.read_meta().version == 1
+    fresh = CDCPipeline(str(tmp_path / 'v2'), num_partitions=2,
+                        retain_history=True)
+    assert fresh.store.read_meta().version == 2
 
 
 def test_full_feed_lww_reproduces_live_table(history_lake):
@@ -183,9 +212,7 @@ def test_vacuum_bounds_the_window(history_lake):
     assert recent.num_rows > 0
     # Disk matches the manifests exactly (vacuumed files gone, no strays).
     for pid, m in pipeline.store.all_manifests().items():
-        hdir = pipeline.store.history_dir(pid)
-        if os.path.isdir(hdir):
-            assert set(os.listdir(hdir)) == set(m.history)
+        assert _snapshot_files(pipeline, pid) == set(m.deltas) | set(m.history)
 
 
 def test_vacuum_preserves_cold_keys(tmp_path, ray_session):
@@ -283,13 +310,11 @@ def test_vacuum_sweeps_orphaned_history_files(tmp_path, ray_session):
     ])))
     before = final_state_digests(pipeline.final_table())
 
-    # Simulate the crash debris: files in history/ that no manifest
-    # lists (as if a previous vacuum committed but died mid-removal).
+    # Simulate the crash debris: snapshot files that no manifest lists
+    # (as if a previous vacuum committed but died mid-removal).
     orphans = []
     for pid, m in pipeline.store.all_manifests().items():
-        hdir = pipeline.store.history_dir(pid)
-        os.makedirs(hdir, exist_ok=True)
-        p = os.path.join(hdir, 'delta-500-600.parquet')
+        p = pipeline.store.delta_path(pid, 'delta-500-600.parquet')
         with open(p, 'wb') as fh:
             fh.write(b'stranded')
         orphans.append((pid, p))
@@ -302,8 +327,6 @@ def test_vacuum_sweeps_orphaned_history_files(tmp_path, ray_session):
         assert not os.path.exists(p)
     # ...and disk==manifest holds again, with the lake untouched.
     for pid, m in pipeline.store.all_manifests().items():
-        hdir = pipeline.store.history_dir(pid)
-        if os.path.isdir(hdir):
-            assert set(os.listdir(hdir)) == set(m.history)
+        assert _snapshot_files(pipeline, pid) == set(m.deltas) | set(m.history)
     assert final_state_digests(pipeline.final_table()) == before
     assert final_state_digests(pipeline.table_as_of(2)) == before

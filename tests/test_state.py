@@ -1,4 +1,4 @@
-"""Unit tests for manifests and the schema registry."""
+"""Unit tests for manifests and schema widening."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from filters_ray.state.manifest import (
     PartitionManifest,
     TableMeta,
 )
-from filters_ray.state.registry import SchemaRegistry, align_table, widen_schema
+from filters_ray.state.registry import align_table, widen_schema
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -46,7 +46,7 @@ def test_commit_is_atomic_data_then_manifest(tmp_path):
     pq.write_table(table, tmp)
     store.commit_partition(
         PartitionManifest(partition_id=0, hwm_lsn=1, rows=1, bytes=10, sha256='d'),
-        tmp,
+        {store.data_path(0): tmp},
     )
     assert os.path.exists(store.data_path(0))
     assert not os.path.exists(tmp)
@@ -117,14 +117,16 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
                        'last_lsn': [2]})
     tmp = store.tmp_path(0)
     pq.write_table(winner, tmp)
-    store.commit_partition(_m(0, 2, 'w'), tmp, expected_version=0)
+    store.commit_partition(_m(0, 2, 'w'), {store.data_path(0): tmp},
+                           expected_version=0)
 
     loser = pa.table({'repo': ['r'], 'path': ['p'], 'content': ['l'],
                       'last_lsn': [1]})
     tmp2 = store.tmp_path(0)
     pq.write_table(loser, tmp2)
     with pytest.raises(CommitConflictError):
-        store.commit_partition(_m(0, 1, 'l'), tmp2, expected_version=0)
+        store.commit_partition(_m(0, 1, 'l'), {store.data_path(0): tmp2},
+                               expected_version=0)
     assert not os.path.exists(tmp2)
     got = pq.read_table(store.data_path(0))
     assert got.column('content').to_pylist() == ['w']
@@ -163,29 +165,6 @@ def test_align_table():
     out = align_table(table, schema)
     assert out.schema == schema
     assert out.column('b').null_count == 2
-
-
-def test_schema_registry_persistence(tmp_path):
-    reg = SchemaRegistry(str(tmp_path))
-    assert reg.current() is None
-    reg.register(pa.schema([('x', pa.int32())]))
-    reg.register(pa.schema([('x', pa.int64()), ('y', pa.string())]))
-
-    # A fresh instance reloads the persisted widened schema.
-    reg2 = SchemaRegistry(str(tmp_path))
-    assert reg2.current().field('x').type == pa.int64()
-    assert 'y' in reg2.current().names
-    assert any('widen x' in h for h in reg2.history())
-
-
-@pytest.mark.usefixtures('ray_session')
-def test_schema_registry_as_actor(tmp_path):
-    import ray
-
-    actor = ray.remote(SchemaRegistry).remote(str(tmp_path))
-    ray.get(actor.register.remote(pa.schema([('x', pa.int32())])))
-    out = ray.get(actor.register.remote(pa.schema([('z', pa.bool_())])))
-    assert set(out.names) == {'x', 'z'}
 
 
 @pytest.mark.usefixtures('ray_session')
