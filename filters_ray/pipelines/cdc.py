@@ -1,6 +1,8 @@
 """CDC / incremental-ingest pipeline: change log → validated LWW lake upsert.
 
-The north-star pipeline (BASELINE.json ``north_star``), Ray-Data-first:
+The north-star pipeline (BASELINE.json ``north_star``) has two shapes
+with one commit path. An input larger than one validate batch, or whose
+size is unknown before it runs, takes the Ray Data plan:
 
     read_parquet(events)                               # ordered change log
       → map_batches(ValidateStage, pyarrow, zero-copy)  # compiled chains
@@ -9,6 +11,17 @@ The north-star pipeline (BASELINE.json ``north_star``), Ray-Data-first:
           # per partition: watermark drop → clean/DLQ split → LWW merge
           # with base partition → atomic commit (data + manifest + DLQ)
       → per-partition summaries (tiny) → run report
+
+A micro-batch (parquet files or a materialized dataset of at most
+``batch_size`` rows, counted without executing anything; see
+:func:`_one_batch_source`) takes plain Ray tasks instead, with the same
+validate and upsert functions and none of the plan's fixed cost:
+
+    validate task: read (widened schema) → ValidateStage
+                   → stable sort by _part              # the exchange
+      → (sorted batch, one row range per non-empty partition)
+    min(partitions, CPUs) upsert tasks: upsert_partition over zero-copy
+                   slices of the batch → summary rows → run report
 
 Scale design (SURVEY.md §4):
 
@@ -47,6 +60,7 @@ import contextlib
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -380,22 +394,28 @@ def _concat_widened(tables: List[pa.Table]) -> pa.Table:
     return pa.concat_tables([align_table(t, schema) for t in tables])
 
 
-def _read_widened(paths: List[str], drop: Iterable[str] = ()):
-    """``read_parquet`` over files whose schemas differ additively across
-    commits, with the ``drop`` columns pruned. First-fragment schema
-    inference can drop later-added columns (ADVICE r3), so the schema is
-    widened across the files and passed explicitly: the reader then
-    null-fills the columns a file lacks. The ``part=<p>`` directories are
-    not hive partitions: no ``part`` column is derived from the path."""
-    import ray.data as rd
-
+def _widened_schema(paths: List[str], drop: Iterable[str] = ()) -> pa.Schema:
+    """The schema of parquet files whose schemas differ additively, widened
+    across them, with the ``drop`` columns pruned. First-fragment schema
+    inference can drop later-added columns (ADVICE r3), so readers pass
+    this schema explicitly and null-fill the columns a file lacks."""
     schema = None
     for p in paths:
         s = pq.read_schema(p).remove_metadata()
         schema = s if schema is None else widen_schema(schema, s)[0]
     for name in drop:
         schema = schema.remove(schema.get_field_index(name))
-    return rd.read_parquet(paths, schema=schema, partitioning=None)
+    return schema
+
+
+def _read_widened(paths: List[str], drop: Iterable[str] = ()):
+    """``read_parquet`` over files under :func:`_widened_schema`. The
+    ``part=<p>`` directories are not hive partitions: no ``part`` column
+    is derived from the path."""
+    import ray.data as rd
+
+    return rd.read_parquet(paths, schema=_widened_schema(paths, drop),
+                           partitioning=None)
 
 
 def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
@@ -412,15 +432,21 @@ def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
 
 
 def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]:
-    """Base + manifest-LISTED delta paths (unlisted deltas are orphans)."""
+    """Base + manifest-LISTED delta paths (unlisted deltas are orphans).
+
+    A snapshot file exists iff the committed manifest lists it, so a
+    listed delta missing from disk is an error, not an empty delta: it
+    raises ``FileNotFoundError`` (a CAS commit retries on it)."""
     paths = []
     if os.path.exists(store.data_path(pid)):
         paths.append(store.data_path(pid))
     if manifest is not None:
         for name in manifest.deltas:
             p = store.delta_path(pid, name)
-            if os.path.exists(p):
-                paths.append(p)
+            if not os.path.exists(p):
+                raise FileNotFoundError(
+                    f'partition {pid}: the manifest lists {p}, which is not on disk')
+            paths.append(p)
     return paths
 
 
@@ -715,8 +741,6 @@ def make_upsert_fn(lake_root: str, redrive: bool = False,
             # re-merges. FileNotFoundError counts as a conflict too —
             # the winner's compaction may reclaim a delta file mid-read
             # of a doomed attempt.
-            import time
-
             last_exc: Optional[Exception] = None
             for attempt in range(_CAS_MAX_RETRIES):
                 try:
@@ -856,6 +880,140 @@ def _vacuum_partition(lake_root: str, pid: int, before_lsn: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the two ingest shapes: plain Ray tasks for one validate batch, the
+# Ray Data plan for everything else
+# ---------------------------------------------------------------------------
+
+
+def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
+    """The rule for which inputs commit as plain Ray tasks.
+
+    An input whose row count is known without executing anything and is at
+    most ``batch_size`` is one validate batch: parquet files (counted from
+    their footers; every :meth:`CDCPipeline.tail` batch) and materialized
+    datasets such as ``rd.from_arrow(...)`` (counted from block metadata).
+    Returns the validate task's input, ``(paths, block refs)`` with one of
+    the two empty, or None for everything else (directories, lazy
+    datasets, the DLQ redrive, larger inputs), which takes the Ray Data
+    plan."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(events, (str, list)):
+        paths = [events] if isinstance(events, str) else list(events)
+        if not paths or not all(
+                isinstance(p, str) and p.endswith('.parquet') and os.path.isfile(p)
+                for p in paths):
+            return None
+        if sum(pq.read_metadata(p).num_rows for p in paths) > batch_size:
+            return None
+        return paths, []
+    if isinstance(events, MaterializedDataset) and events.count() <= batch_size:
+        return [], events.to_arrow_refs()
+    return None
+
+
+def _validate_task(validate, paths: List[str], *blocks: pa.Table) -> tuple:
+    """The task shape's validate and exchange: read the input (files under
+    their widened schema, or the dataset's blocks), validate it as one
+    batch and stable-sort it by ``_part``, which keeps input order inside
+    each partition, as the plan's exchange does. Returns the sorted batch
+    and ``(row ranges, wall s, cpu s)``, one ``(offset, length)`` range per
+    non-empty partition."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    if paths:
+        batch = pq.read_table(paths, schema=_widened_schema(paths),
+                              partitioning=None)
+    else:
+        batch = pa.concat_tables(blocks, promote_options='default')
+    if not batch.num_rows:  # the plan never calls a UDF on an empty block
+        return batch, ([], time.perf_counter() - wall, time.process_time() - cpu)
+    batch = validate(batch)
+    parts = batch.column(PART_COLUMN).to_numpy()
+    order = np.argsort(parts, kind='stable')
+    batch = batch.take(pa.array(order, type=pa.int64()))
+    # Row 0, every change of partition, and the end (partition ids are >= 0).
+    bounds = np.flatnonzero(np.diff(parts[order], prepend=-1, append=-1)).tolist()
+    ranges = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    return batch, (ranges, time.perf_counter() - wall, time.process_time() - cpu)
+
+
+def _upsert_task(upsert, batch: pa.Table, ranges: List[tuple]) -> tuple:
+    """Run ``upsert`` over each range's zero-copy slice of the sorted batch;
+    returns ``(summary rows, wall s, cpu s)``."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    rows = [row for offset, length in ranges
+            for row in upsert(batch.slice(offset, length)).to_pylist()]
+    return rows, time.perf_counter() - wall, time.process_time() - cpu
+
+
+def _commit_as_tasks(source: tuple, validate, upsert) -> tuple:
+    """Commit one validate batch as one validate task and
+    ``min(partitions, CPUs)`` upsert tasks, each over a contiguous run of
+    partitions; the driver gets only ids, ranges and summary rows. One
+    task per partition measured slower on one CPU than one per CPU.
+    Returns ``(summary rows in partition order, stats text)``."""
+    import ray
+
+    paths, blocks = source
+    batch, meta = ray.remote(_validate_task).options(num_returns=2).remote(
+        validate, paths, *blocks)
+    ranges, v_wall, v_cpu = ray.get(meta)
+    n = max(1, min(len(ranges), int(ray.cluster_resources().get('CPU', 1))))
+    cuts = [i * len(ranges) // n for i in range(n + 1)]
+    task = ray.remote(_upsert_task)
+    done = ray.get([task.remote(upsert, batch, ranges[lo:hi])
+                    for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
+    stats = _task_stats([('validate', [(v_wall, v_cpu)]),
+                         ('upsert_partition', [(w, c) for _, w, c in done])])
+    return [row for rows, _, _ in done for row in rows], stats
+
+
+def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
+    """Commit any input on the Ray Data plan: ``map_batches`` validate, the
+    ``groupby(_part)`` exchange and ``map_groups`` upsert. Returns
+    ``(summary rows, ds.stats() text)``."""
+    import ray.data as rd
+
+    if isinstance(events, (str, list)):
+        events = rd.read_parquet(events)
+    # Validation runs as STATELESS tasks with a per-worker-process
+    # compiled-chain cache (see _make_validate_fn) rather than an
+    # actor pool: chain compilation is cheap enough to amortize per
+    # worker, and elastic tasks use every core while the actor pool
+    # measured 3× slower end-to-end (startup + queueing on this
+    # pipeline shape).
+    validated = events.map_batches(
+        validate,
+        batch_format='pyarrow',
+        batch_size=batch_size,
+        zero_copy_batch=True,
+    )
+    summaries = validated.groupby(PART_COLUMN).map_groups(
+        upsert, batch_format='pyarrow')
+    rows = summaries.take_all()
+    # Per-stage wall/cpu/memory breakdown for the run — the feedback
+    # loop for batch/block-size tuning (`ds.stats()`).
+    try:
+        stats = summaries.stats()
+    except Exception:  # noqa: BLE001 — observability must not fail a run
+        stats = None
+    return rows, stats
+
+
+def _task_stats(stages: List[tuple]) -> str:
+    """``last_stats`` of the task shape: per ``(stage name, [(wall s, cpu
+    s) per task])``, the task count and summed remote times in the lines
+    ``Dataset.stats()`` prints, so its parsers read both shapes."""
+    lines = []
+    for i, (name, timings) in enumerate(stages, 1):
+        lines.append(f'Operator {i} {name}: {len(timings)} tasks executed')
+        for k, kind in enumerate(('wall', 'cpu')):
+            total = sum(t[k] for t in timings)
+            lines.append(f'* Remote {kind} time: {total:.6f}s total')
+    return '\n'.join(lines)
+
+
+# ---------------------------------------------------------------------------
 # pipeline façade
 # ---------------------------------------------------------------------------
 
@@ -924,46 +1082,40 @@ class CDCPipeline:
     # -- execution -------------------------------------------------------
 
     def run(self, events) -> RunReport:
-        """Ingest an event Dataset / parquet path; returns the run report."""
-        import ray.data as rd
+        """Ingest an event Dataset / parquet path; returns the run report.
 
-        if isinstance(events, (str, list)):
-            events = rd.read_parquet(events)
+        An input of at most ``batch_size`` rows whose size is known up
+        front (parquet files, a materialized dataset) commits as plain Ray
+        tasks; anything else runs the Ray Data plan (see :meth:`_ingest`)."""
         return self._ingest(events, self.langs, self.allow_extra_keys)
 
     def _ingest(self, events, langs, allow_extra_keys,
                 redrive: bool = False) -> RunReport:
         """The ingest path shared by :meth:`run` and :meth:`replay_dlq`: validate
-        → the ``_part`` exchange → per-partition upsert → run report."""
-        # Validation runs as STATELESS tasks with a per-worker-process
-        # compiled-chain cache (see _make_validate_fn) rather than an
-        # actor pool: chain compilation is cheap enough to amortize per
-        # worker, and elastic tasks use every core while the actor pool
-        # measured 3× slower end-to-end (startup + queueing on this
-        # pipeline shape).
-        validated = events.map_batches(
-            _make_validate_fn(self.num_partitions, langs, allow_extra_keys),
-            batch_format='pyarrow',
-            batch_size=self.batch_size,
-            zero_copy_batch=True,
-        )
-        summaries = validated.groupby(PART_COLUMN).map_groups(
-            make_upsert_fn(self.lake_root, redrive=redrive,
-                           compact_every=self.compact_every,
-                           retain_history=self.retain_history,
-                           concurrency=self.concurrency),
-            batch_format='pyarrow',
-        )
+        → the ``_part`` exchange → per-partition upsert → run report.
+
+        Two shapes run the same validate and upsert functions, chosen by
+        :func:`_one_batch_source`: one validate batch commits as plain Ray
+        tasks (:func:`_commit_as_tasks`), which skip the plan's fixed cost
+        and the helper actors its first execution starts; every other
+        input runs the Ray Data plan (:func:`_commit_on_plan`).
+        ``last_stats`` holds the per-stage breakdown either way, in
+        ``Dataset.stats()`` form."""
+        validate = _make_validate_fn(self.num_partitions, langs, allow_extra_keys)
+        upsert = make_upsert_fn(self.lake_root, redrive=redrive,
+                                compact_every=self.compact_every,
+                                retain_history=self.retain_history,
+                                concurrency=self.concurrency)
+        source = _one_batch_source(events, self.batch_size)
+        if source is not None:
+            rows, self.last_stats = _commit_as_tasks(source, validate, upsert)
+        else:
+            rows, self.last_stats = _commit_on_plan(
+                events, validate, upsert, self.batch_size)
         report = RunReport()
-        for row in summaries.take_all():
+        for row in rows:
             report.merge_row(row)
         report.lake_rows = self._lake_rows()
-        # Per-stage wall/cpu/memory breakdown for the run — the feedback
-        # loop for batch/block-size tuning (`ds.stats()`).
-        try:
-            self.last_stats = summaries.stats()
-        except Exception:  # noqa: BLE001 — observability must not fail a run
-            self.last_stats = None
         return report
 
     def _lake_rows(self) -> int:
@@ -997,8 +1149,6 @@ class CDCPipeline:
         no new files appear for ``idle_timeout`` seconds, or when
         ``stop_file`` exists. Returns the aggregate report.
         """
-        import time
-
         ledger_path = os.path.join(self.lake_root, '_ingest_ledger.json')
         processed: set = set()
         if os.path.exists(ledger_path):

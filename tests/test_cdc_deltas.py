@@ -279,3 +279,21 @@ def test_point_lookup(tmp_path):
         assert row['content'] == final.column('content')[i].as_py()
     # Absent key → None.
     assert pipeline.lookup('no-such-repo', 'nope') is None
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_missing_listed_delta_raises(tmp_path):
+    """A delta the manifest lists but the disk lacks is an error, not an
+    empty delta: readers raise instead of silently dropping its rows."""
+    import ray.data as rd
+
+    log = make_events(SynthConfig(n_keys=40, n_events=300, n_repos=4, seed=29))
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=2)
+    for chunk in _split_log(log, 2):
+        pipeline.run(rd.from_arrow(chunk))
+    pid, m = next((pid, m) for pid, m in pipeline.store.all_manifests().items()
+                  if m.deltas)
+    missing = pipeline.store.delta_path(pid, m.deltas[0])
+    os.remove(missing)
+    with pytest.raises(FileNotFoundError, match=os.path.basename(missing)):
+        pipeline.final_table()

@@ -23,13 +23,25 @@ def empty_log() -> pa.Table:
 
 @pytest.mark.usefixtures('ray_session')
 def test_empty_log_is_a_noop(tmp_path):
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
-    report = pipeline.run(rd.from_arrow(empty_log()))
-    assert report.events_seen == 0
-    assert pipeline.final_table().num_rows == 0
-    assert pipeline.rejection_counts() == {}
+    path = str(tmp_path / 'empty.parquet')
+    pq.write_table(empty_log(), path)
+    inputs = {
+        'from_arrow': rd.from_arrow(empty_log()),
+        # A materialized empty result: one block without columns.
+        'filtered': rd.from_arrow(make_events(SynthConfig(n_keys=10, n_events=50)))
+        .filter(lambda row: False).materialize(),
+        'path': path,
+    }
+    for name, events in inputs.items():
+        pipeline = CDCPipeline(str(tmp_path / name), num_partitions=4)
+        report = pipeline.run(events)
+        assert report.events_seen == 0, name
+        assert pipeline.final_table().num_rows == 0, name
+        assert pipeline.rejection_counts() == {}, name
+        assert pipeline.store.all_manifests() == {}, name
 
 
 @pytest.mark.usefixtures('ray_session')

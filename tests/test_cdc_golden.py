@@ -40,15 +40,18 @@ def golden_state(pipeline: CDCPipeline) -> dict:
     return out
 
 
-def run_golden_sequence(lake: str, after_step=None) -> list:
+def run_golden_sequence(lake: str, after_step=None, dataset=None) -> list:
     """The :data:`STEPS` on a fresh lake; the golden state after each.
 
     The log is cut in arrival order at multiples of its 16-event
     disorder window, so re-delivered corrupt (negative) lsns reach later
     runs and exercise the no-recount rule. ``after_step(pipeline, step)``,
-    when given, is called after each step, once its state is recorded."""
+    when given, is called after each step, once its state is recorded.
+    ``dataset`` turns each cut into the dataset a run ingests
+    (``rd.from_arrow`` by default)."""
     import ray.data as rd
 
+    dataset = dataset or rd.from_arrow
     cfg = SynthConfig(n_keys=60, n_events=800, n_repos=6, seed=5)
     log = make_events(cfg)
     cuts = [0, 272, 544, log.num_rows]
@@ -62,7 +65,7 @@ def run_golden_sequence(lake: str, after_step=None) -> list:
             after_step(pipeline, STEPS[len(states) - 1])
 
     for a, b in zip(cuts, cuts[1:]):
-        pipeline.run(rd.from_arrow(log.slice(a, b - a)))
+        pipeline.run(dataset(log.slice(a, b - a)))
         record()
     vacuum_before = max(int(m['hwm_lsn']) for m in states[1].values()) + 1
     pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
