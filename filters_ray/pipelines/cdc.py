@@ -547,9 +547,27 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
     content columns (40-hex ``commit`` shas above all) gain nothing from a
     dictionary, and zstd's entropy coder packs hex text that snappy
     cannot. Readers need no setting, since Parquet records the codec per
-    column chunk."""
+    column chunk.
+
+    No column chunk carries min/max statistics. Parquet stores them three
+    times per chunk (page header, chunk metadata, footer), and they hold
+    whole ``content`` strings and ``commit`` shas, so on small partition
+    files they were about an eighth of the bytes. No reader uses them:
+
+    * merge-on-read reads whole files;
+    * ``changes()``, ``table_as_of()`` and vacuum prune by the
+      ``delta-<lo>-<hi>`` file name (:func:`_parse_delta_range`);
+    * hashing on ``(repo, path)`` makes every file span the whole key
+      range, so key min/max could prune nothing;
+    * :func:`_one_batch_source` reads only ``num_rows`` from a footer.
+
+    The ``ARROW:schema`` footer entry stays: without it the types do not
+    round-trip (``large_string``, time zones, the ``_errors`` list's item
+    name), which the typed DLQ relies on. Files written with statistics
+    read the same way."""
     tmp = store.tmp_path(pid, kind=kind)
-    pq.write_table(table, tmp, compression='zstd', use_dictionary=False)
+    pq.write_table(table, tmp, compression='zstd', use_dictionary=False,
+                   write_statistics=False)
     return tmp
 
 
@@ -970,12 +988,16 @@ def _commit_as_tasks(source: tuple, validate, upsert) -> tuple:
 
 def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
     """Commit any input on the Ray Data plan: ``map_batches`` validate, the
-    ``groupby(_part)`` exchange and ``map_groups`` upsert. Returns
+    ``groupby(_part)`` exchange and ``map_groups`` upsert. A file or list
+    of files reads under the schema widened across them, as in the task
+    shape; a directory keeps ``read_parquet``'s own inference. Returns
     ``(summary rows, ds.stats() text)``."""
     import ray.data as rd
 
     if isinstance(events, (str, list)):
-        events = rd.read_parquet(events)
+        paths = [events] if isinstance(events, str) else list(events)
+        events = (_read_widened(paths) if all(map(os.path.isfile, paths))
+                  else rd.read_parquet(events))
     # Validation runs as STATELESS tasks with a per-worker-process
     # compiled-chain cache (see _make_validate_fn) rather than an
     # actor pool: chain compilation is cheap enough to amortize per

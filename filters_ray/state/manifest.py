@@ -18,11 +18,14 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # the events' own input columns with
                                       # their Arrow types, plus _errors
 
-Every parquet file above is zstd (default level) without dictionary pages,
-written to a tmp file by the lake's one writer (``_stage`` in
-``pipelines/cdc.py``). Parquet records the codec per column chunk, so
-readers need no setting and a lake still holding older snappy files reads
-as before; its partitions move to zstd as they compact. A manifest's
+Every parquet file above is zstd (default level) without dictionary pages
+or column min/max statistics, written to a tmp file by the lake's one
+writer (``_stage`` in ``pipelines/cdc.py``). No reader uses statistics:
+snapshot files are pruned by their ``<lo>-<hi>`` names, and every file
+spans the whole hashed key range. Parquet records the codec per column
+chunk, so readers need no setting and a lake still holding older snappy
+files, or files with statistics, reads as before; its partitions move to
+the current encoding as they compact. A manifest's
 ``bytes`` is the on-disk size of the partition's ``data.parquet`` plus its
 listed delta files (history-only and DLQ files are not counted).
 

@@ -1,8 +1,8 @@
 """Lake file encoding: every parquet file the lake writes is zstd without
-dictionary pages, a manifest's ``bytes`` is the on-disk size of its
-partition's base and listed deltas, and a lake still holding files of
-another codec (written before the encoding changed) reads, merges and
-redrives exactly like an all-zstd one.
+dictionary pages or column statistics, a manifest's ``bytes`` is the
+on-disk size of its partition's base and listed deltas, and a lake still
+holding files of another encoding (written before the encoding changed)
+reads, merges and redrives exactly like an all-zstd one.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ def _parquet_files(lake: str) -> list:
 
 
 def _chunk_encodings(path: str) -> set:
-    """``(codec, has dictionary page)`` of every column chunk in ``path``."""
+    """``(codec, has dictionary page, has statistics)`` of every column
+    chunk in ``path``."""
     meta = pq.ParquetFile(path).metadata
     return {
-        (col.compression, col.has_dictionary_page)
+        (col.compression, col.has_dictionary_page, col.is_stats_set)
         for rg in range(meta.num_row_groups)
         for col in (meta.row_group(rg).column(c) for c in range(meta.num_columns))
     }
@@ -70,15 +71,16 @@ def _file_kind(pipeline, path: str) -> str:
 @pytest.mark.usefixtures('ray_session')
 def test_every_lake_file_is_zstd_without_dictionary(tmp_path):
     """After every step, each base, delta, history, DLQ and vacuum
-    checkpoint file is zstd in every column chunk with no dictionary page:
-    a writer that bypasses the lake's one parquet writer fails here."""
+    checkpoint file is zstd in every column chunk with no dictionary page
+    and no min/max statistics: a writer that bypasses the lake's one
+    parquet writer fails here."""
     lake = str(tmp_path / 'lake')
     kinds, history = set(), {}
 
     def check(pipeline, step):
         for path in _parquet_files(lake):
             assert pq.ParquetFile(path).metadata.num_row_groups, path
-            assert _chunk_encodings(path) == {('ZSTD', False)}, (step, path)
+            assert _chunk_encodings(path) == {('ZSTD', False, False)}, (step, path)
             kinds.add(_file_kind(pipeline, path))
         history[step] = {
             pid: m.history for pid, m in pipeline.store.all_manifests().items()}
@@ -94,12 +96,13 @@ def test_every_lake_file_is_zstd_without_dictionary(tmp_path):
 
 def _rewrite_as_snappy(lake: str) -> None:
     """Re-encode every parquet file in place with pyarrow's defaults
-    (snappy, dictionary pages): the encoding lakes were written with
-    before. In place, so each file keeps the name its manifest lists."""
+    (snappy, dictionary pages, statistics): the encoding lakes were
+    written with before. In place, so each file keeps the name its
+    manifest lists."""
     for path in _parquet_files(lake):
         table = pq.read_table(path)
         pq.write_table(table, path)
-        assert _chunk_encodings(path) >= {('SNAPPY', True)}, path
+        assert ('SNAPPY', True, True) in _chunk_encodings(path), path
 
 
 @pytest.mark.usefixtures('ray_session')
@@ -119,9 +122,10 @@ def test_mixed_codec_lake_matches_all_zstd_lake(tmp_path):
 
     want = run_golden_sequence(zstd_lake)
     got = run_golden_sequence(mixed_lake, after_step=age_first_commit)
-    # The first commit's retained history is still snappy after the
-    # compaction, next to the zstd files written since.
-    assert codecs_after['run (compaction)'] >= {('SNAPPY', True), ('ZSTD', False)}
+    # The first commit's retained history is still snappy, with statistics,
+    # after the compaction, next to the zstd files written since.
+    assert codecs_after['run (compaction)'] >= {
+        ('SNAPPY', True, True), ('ZSTD', False, False)}
     assert got == want
     zstd, mixed = CDCPipeline(zstd_lake), CDCPipeline(mixed_lake)
     assert mixed.final_table().equals(zstd.final_table())

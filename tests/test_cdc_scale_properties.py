@@ -37,6 +37,45 @@ def test_hot_repo_spreads_across_partitions():
     assert len(hot_parts) >= 30
 
 
+# (repo, path) keys whose partition ids are pinned: ASCII, an empty path,
+# non-ASCII, repo and path lengths around SipHash's 8-byte blocks
+# (7/8/9/15/16), a 4,096-char path, and a null raw repo (a DLQ row routes
+# on its raw key).
+GOLDEN_KEYS = [
+    ('org/repo', 'src/main.py'),
+    ('org/repo', ''),
+    ('ørg/répo', 'dïr/файл.py'),
+    ('abcdefg', 'f.py'),
+    ('abcdefgh', 'f.py'),
+    ('abcdefghi', 'f.py'),
+    ('org/r', 'p' * 7),
+    ('org/r', 'p' * 8),
+    ('org/r', 'p' * 9),
+    ('org/r', 'p' * 15),
+    ('org/r', 'p' * 16),
+    ('org/long', 'd/' * 2048),
+    (None, 'orphan.py'),
+]
+
+GOLDEN_PARTITIONS = {
+    4: [1, 2, 0, 1, 0, 0, 3, 0, 0, 2, 2, 2, 0],
+    64: [13, 6, 8, 57, 52, 24, 3, 56, 44, 30, 6, 50, 32],
+    1024: [141, 966, 136, 57, 52, 856, 963, 56, 44, 606, 454, 1010, 672],
+}
+
+
+@pytest.mark.parametrize('num_partitions', sorted(GOLDEN_PARTITIONS))
+def test_key_partition_golden_ids(num_partitions):
+    """A lake's rows live in the partition ``key_partition`` names, so its
+    ids are part of the lake format: a new hash must reproduce these ids
+    or bump the layout version."""
+    repo = pa.array([r for r, _ in GOLDEN_KEYS], type=pa.string())
+    path = pa.array([p for _, p in GOLDEN_KEYS], type=pa.string())
+    parts = key_partition(repo, path, num_partitions)
+    assert parts.dtype == np.int64
+    assert parts.tolist() == GOLDEN_PARTITIONS[num_partitions]
+
+
 @pytest.mark.usefixtures('ray_session')
 def test_wide_rows_small_batches(tmp_path):
     """100 KB contents through the full pipeline with a small batch size

@@ -119,31 +119,54 @@ def test_one_batch_inputs_skip_the_plan(tmp_path):
             pipeline.run(events)
 
 
-@pytest.mark.usefixtures('ray_session')
-def test_tail_batch_lands_a_column_its_second_file_adds(tmp_path):
-    """One ``tail()`` batch of two files, the second with an extra
-    ``branch`` column: the batch reads under the widened schema."""
+def write_branch_files(directory) -> tuple:
+    """A log cut into two files where only the second has the ``branch``
+    column; returns the log and the two paths."""
     cfg = SynthConfig(n_keys=60, n_events=400, n_repos=6, seed=11,
                       extra_column_after=0.5, invalid_rate=0.0,
                       duplicate_rate=0.0)
     log = make_events(cfg)
     cut = log.num_rows // 2
-    in_dir = tmp_path / 'in'
-    in_dir.mkdir()
-    pq.write_table(log.slice(0, cut).drop_columns(['branch']),
-                   in_dir / 'wal-0000.parquet')
-    pq.write_table(log.slice(cut), in_dir / 'wal-0001.parquet')
+    os.makedirs(directory, exist_ok=True)
+    paths = [os.path.join(directory, f'wal-{i:04d}.parquet') for i in range(2)]
+    pq.write_table(log.slice(0, cut).drop_columns(['branch']), paths[0])
+    pq.write_table(log.slice(cut), paths[1])
+    return log, paths
 
-    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
-    report = pipeline.tail(str(in_dir), max_batches=1, poll_interval=0.01,
-                           idle_timeout=0)
-    assert report.events_seen == log.num_rows
-    assert pipeline.last_stats.startswith('Operator 1 validate')
+
+def assert_branch_landed(pipeline, log) -> None:
     table = pipeline.final_table()
     assert 'branch' in table.column_names
     assert set(table.column('branch').to_pylist()) - {None} <= {'main', 'dev', 'release'}
     assert table.column('branch').null_count < table.num_rows
     assert final_state_digests(table) == replay_oracle(log.to_pylist()).sha256_by_key()
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_tail_batch_lands_a_column_its_second_file_adds(tmp_path):
+    """One ``tail()`` batch of two files, the second with an extra
+    ``branch`` column: the batch reads under the widened schema."""
+    log, _ = write_branch_files(str(tmp_path / 'in'))
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
+    report = pipeline.tail(str(tmp_path / 'in'), max_batches=1,
+                           poll_interval=0.01, idle_timeout=0)
+    assert report.events_seen == log.num_rows
+    assert pipeline.last_stats.startswith('Operator 1 validate')
+    assert_branch_landed(pipeline, log)
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_plan_run_lands_a_column_its_second_file_adds(tmp_path):
+    """``run([f1, f2])`` above ``batch_size`` rows takes the plan, which
+    reads the files under their widened schema: ``branch``, which only
+    ``f2`` has, lands."""
+    log, paths = write_branch_files(str(tmp_path / 'in'))
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4,
+                           batch_size=log.num_rows // 4)
+    report = pipeline.run(paths)
+    assert report.events_seen == log.num_rows
+    assert not pipeline.last_stats.startswith('Operator 1 validate')
+    assert_branch_landed(pipeline, log)
 
 
 @pytest.mark.usefixtures('ray_session')
