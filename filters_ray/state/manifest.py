@@ -33,19 +33,28 @@ One liveness rule: a ``delta-*.parquet`` file exists iff the committed
 manifest lists it in ``deltas`` (merged on read) or ``history`` (the
 change feed and time travel), or both — a delta batch and its history
 entry are the same file. :meth:`ManifestStore.commit_partition` is the
-only code that adds files to a partition or removes them: in one critical
-section it renames the staged tmp files into place, writes the manifest,
-and removes every snapshot file the new manifest no longer lists
-(compacted deltas, vacuumed history). The redrive DLQ swap, which runs
-after its commit, is the one file move outside it. Layout version 1 kept
-retained history in a second directory, ``part=<p>/history/``, as
-hardlinks; a version-1 lake with retention does not open.
+only code that adds or removes any partition file, DLQ files included:
+in one critical section it renames the staged tmp files into place,
+writes the manifest, removes every snapshot file the new manifest no
+longer lists (compacted deltas, vacuumed history) and, for a redrive,
+swaps the partition's DLQ. Layout version 1 kept retained history
+in a second directory, ``part=<p>/history/``, as hardlinks; a version-1
+lake with retention does not open.
 
-Commit protocol (idempotent under task retry):
+Commit protocol (one for every writer — ingest, redrive and vacuum —
+and idempotent under task retry), an optimistic read → merge →
+conditional commit → retry loop, like Delta Lake's log:
 
-1. write every new file as ``<kind>.parquet.tmp-<nonce>``
-2. under the commit lock: ``os.replace`` each into place, write
-   ``manifest.json`` (atomic on POSIX), remove the unlisted snapshots
+1. read the manifest and remember its ``commit_version``; merge without
+   any lock and write every new file as ``<kind>.parquet.tmp-<nonce>``
+2. commit, conditional on that version: under a short lock held only
+   around the version check and the publish (the emulated conditional
+   put), ``os.replace`` each staged file into place, write
+   ``manifest.json`` (atomic on POSIX), remove the unlisted snapshots;
+   a redrive's DLQ file moves only after the manifest
+3. if another writer committed first, the commit raises
+   :class:`CommitConflictError` and removes the staged files; the writer
+   re-reads and tries again
 
 A partition is committed iff its ``manifest.json`` exists; a crashed task
 leaves only tmp files (and, dying mid-commit, unlisted snapshots the next
@@ -79,8 +88,7 @@ __all__ = [
 class CommitConflictError(RuntimeError):
     """Conditional commit lost the race: the partition's on-disk
     ``commit_version`` moved past the version the writer read its state
-    at. The writer must re-read, re-merge, and retry (optimistic
-    concurrency — the multi-node analogue of the flock path)."""
+    at. The writer must re-read, re-merge, and retry."""
 
     def __init__(self, partition_id: int, expected: int, found: int) -> None:
         super().__init__(
@@ -90,6 +98,11 @@ class CommitConflictError(RuntimeError):
         self.partition_id = partition_id
         self.expected = expected
         self.found = found
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not the message the
+        # default reduce would pass: the error crosses Ray task boundaries.
+        return type(self), (self.partition_id, self.expected, self.found)
 
 
 @dataclass
@@ -120,8 +133,9 @@ class PartitionManifest:
     # changes(since_lsn < floor) must refuse rather than silently return
     # collapsed/incomplete history (ADVICE r3 high). -1 = never vacuumed.
     history_floor_lsn: int = -1
-    # Monotone commit counter (incremented by commit_partition) —
-    # concurrent-writer serialization evidence; see partition_lock().
+    # Monotone commit counter (incremented by commit_partition): the
+    # conditional commit's token — a commit publishes only if the on-disk
+    # value still equals the one its writer read.
     commit_version: int = 0
 
 
@@ -195,23 +209,10 @@ class ManifestStore:
         return manifest.hwm_lsn if manifest else -1
 
     def meta_lock(self):
-        """Exclusive table-meta creation lock (see :meth:`partition_lock`
-        for the locking model)."""
+        """Exclusive table-meta creation lock (``flock`` on ``.metalock``;
+        released on process death, so a crashed holder never wedges the
+        lake)."""
         return _flock(self.root, '.metalock')
-
-    def partition_lock(self, pid: int):
-        """Exclusive per-partition writer lock (``flock`` on
-        ``part=<p>/.commitlock``): serializes concurrent writers into one
-        partition — each read-merge-commit cycle runs under the lock, so
-        two simultaneous pipelines interleave per partition instead of
-        losing updates (optimistic-concurrency requirement, VERDICT r3
-        #5). ``flock`` releases on process death, so a crashed holder
-        never wedges the lake. Advisory and filesystem-local: on a real
-        multi-node deployment the manifest store lives on shared storage
-        whose conditional-put (S3 If-Match / GCS generation) replaces
-        this; the commit_version counter is the CAS token for that path.
-        """
-        return _flock(self.partition_dir(pid), '.commitlock')
 
     def _conditional_put(self, pid: int):
         """The store's conditional-put primitive, emulated on POSIX.
@@ -220,12 +221,10 @@ class ManifestStore:
         native conditional write (S3 ``If-Match`` on the manifest ETag /
         GCS ``x-goog-if-generation-match``): version check and publish
         are one atomic operation. Locally we emulate that atomicity with
-        a short flock held ONLY around check+publish — never across the
-        read-merge cycle, which is what makes the protocol optimistic
-        and portable to storage where flock does not exist. Uses its own
-        lock file (not ``.commitlock``): a caller already holding
-        :meth:`partition_lock` via a second fd would self-deadlock on
-        the same file."""
+        a short flock on ``part=<p>/.casput`` held ONLY around
+        check+publish — never across the read-merge cycle, which is what
+        makes the protocol optimistic and portable to storage where flock
+        does not exist."""
         return _flock(self.partition_dir(pid), '.casput')
 
     def commit_partition(
@@ -233,52 +232,64 @@ class ManifestStore:
         manifest: PartitionManifest,
         staged: Optional[Dict[str, str]] = None,
         remove_data: bool = True,
-        expected_version: Optional[int] = None,
+        *,
+        expected_version: int,
+        replace_dlq: bool = False,
     ) -> int:
-        """Atomically publish a partition; the only code that adds files to
-        a partition or removes them. In one critical section it renames
-        the ``staged`` files (``{final path: tmp path}``: base, commit
-        snapshot, ingest DLQ file) into place, writes the manifest, and
-        removes every snapshot file the new manifest no longer lists.
-        Returns the number of files removed.
+        """Atomically publish a partition, conditional on its version; the
+        only code that adds or removes any partition file. In one critical
+        section it renames the ``staged`` files (``{final path: tmp
+        path}``: base, commit snapshot, DLQ file) into place, writes the
+        manifest, and removes every snapshot file the new manifest no
+        longer lists. Returns the number of files removed.
 
         ``remove_data=True`` (the full-state commit contract) with no base
         staged removes a stale base — the partition became empty.
         Delta/noop commits pass ``remove_data=False``: they don't carry
         the full state, so an existing base must survive.
 
-        Stamps ``commit_version`` = on-disk version + 1 (callers holding
-        :meth:`partition_lock` observe a strictly increasing counter —
-        the lost-update detector in the two-writer tests).
+        ``expected_version`` is the ``commit_version`` the writer read its
+        state at (0 = no manifest existed). The commit publishes only if
+        the on-disk version still equals it, and stamps it + 1; otherwise
+        it raises :class:`CommitConflictError`, removes the staged tmp
+        files and leaves the partition untouched, and the writer re-reads,
+        re-merges and retries.
 
-        ``expected_version`` (the CAS token, VERDICT r4 #3): when given,
-        the commit is CONDITIONAL — it publishes only if the on-disk
-        ``commit_version`` still equals it (0 = "no manifest existed"),
-        else raises :class:`CommitConflictError`, removes the staged tmp
-        files and leaves the partition untouched. Pair it with the
-        version read at read-merge start and retry on conflict — that
-        loop is the exactly-once guarantee on shared object storage,
-        where :meth:`partition_lock`'s flock does not exist."""
+        ``replace_dlq`` (a redrive): the staged DLQ file, if any, becomes
+        the partition's whole DLQ — it is renamed into place after the
+        manifest is written, then every other DLQ file is removed. It
+        often takes the name of a file it replaces, so renaming it first
+        would let a crash before the manifest drop the redriven rows from
+        both the DLQ and the lake; this order leaves them in both, and the
+        next redrive re-applies them idempotently."""
         pid = manifest.partition_id
         staged = staged or {}
+        dlq_dir = self.dlq_dir(pid)
+        swap = [f for f in staged if os.path.dirname(f) == dlq_dir] if replace_dlq else []
         os.makedirs(self.partition_dir(pid), exist_ok=True)
         with self._conditional_put(pid):
             current = self.read_manifest(pid)
             found = current.commit_version if current else 0
-            if expected_version is not None and found != expected_version:
+            if found != expected_version:
                 for tmp in staged.values():
                     with contextlib.suppress(FileNotFoundError):
                         os.remove(tmp)
                 raise CommitConflictError(pid, expected_version, found)
             manifest.commit_version = found + 1
             for final, tmp in staged.items():
-                os.replace(tmp, final)
+                if final not in swap:
+                    os.replace(tmp, final)
             if remove_data and self.data_path(pid) not in staged:
                 # Partition became empty (all rows deleted): remove stale data.
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(self.data_path(pid))
             _atomic_write_json(self.manifest_path(pid), asdict(manifest))
-            return self._remove_unlisted(manifest)
+            removed = 0
+            if replace_dlq:
+                for final in swap:
+                    os.replace(staged[final], final)
+                removed = _remove_parquet(dlq_dir, {os.path.basename(f) for f in swap})
+            return removed + self._remove_unlisted(manifest)
 
     def sweep(self, pid: int) -> int:
         """Remove the snapshot files the committed manifest does not list
@@ -291,16 +302,9 @@ class ManifestStore:
     def _remove_unlisted(self, manifest: PartitionManifest) -> int:
         """The liveness rule: a ``delta-*.parquet`` file in ``part=<p>/``
         lives iff ``manifest`` lists it in ``deltas`` or ``history``."""
-        listed = set(manifest.deltas).union(manifest.history)
-        part_dir = self.partition_dir(manifest.partition_id)
-        dead = [
-            name for name in os.listdir(part_dir)
-            if name.startswith('delta-') and name.endswith('.parquet')
-            and name not in listed
-        ]
-        for name in dead:
-            os.remove(os.path.join(part_dir, name))
-        return len(dead)
+        return _remove_parquet(self.partition_dir(manifest.partition_id),
+                               set(manifest.deltas).union(manifest.history),
+                               prefix='delta-')
 
     def tmp_path(self, pid: int, kind: str = 'data') -> str:
         os.makedirs(self.partition_dir(pid), exist_ok=True)
@@ -334,6 +338,17 @@ def _flock(directory: str, name: str):
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def _remove_parquet(directory: str, keep: set, prefix: str = '') -> int:
+    """Remove every ``<prefix>*.parquet`` file in ``directory`` whose name
+    is not in ``keep``; returns the number removed."""
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    dead = [n for n in names
+            if n.startswith(prefix) and n.endswith('.parquet') and n not in keep]
+    for name in dead:
+        os.remove(os.path.join(directory, name))
+    return len(dead)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:

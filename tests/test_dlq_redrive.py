@@ -149,8 +149,58 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures('ray_session')
+def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
+    """A redrive's replacement DLQ file takes the name of the file it
+    replaces when the rows that stay dead span the same lsns, so it may
+    move only after the manifest is written: a crash before that must
+    leave the DLQ exactly as it was."""
+    import os
+
+    import ray.data as rd
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.sources.synth import LANGS
+    from filters_ray.state import manifest
+
+    lake = str(tmp_path / 'lake')
+    pipeline = CDCPipeline(lake, num_partitions=1)
+    # lsn 0 and 10 stay dead (empty repo); lsn 1-9 are redriven.
+    log = pa.Table.from_pylist(
+        [dict(_event(0), repo='')]
+        + [_event(lsn, 'klingon') for lsn in range(1, 10)]
+        + [dict(_event(10), repo='')])
+    pipeline.run(rd.from_arrow(log))
+    dlq_dir = pipeline.store.dlq_dir(0)
+    assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
+    before = open(os.path.join(dlq_dir, 'dlq-0-10.parquet'), 'rb').read()
+    group = CDCValidateStage(num_partitions=1,
+                             langs=list(LANGS) + ['klingon'])(log)
+
+    real_write = manifest._atomic_write_json
+
+    def crash_on_manifest(path, payload):
+        if path.endswith('manifest.json'):
+            raise OSError('injected crash before manifest')
+        return real_write(path, payload)
+
+    monkeypatch.setattr(manifest, '_atomic_write_json', crash_on_manifest)
+    with pytest.raises(OSError, match='injected crash'):
+        make_upsert_fn(lake, redrive=True)(group)
+    monkeypatch.undo()
+
+    assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
+    assert open(os.path.join(dlq_dir, 'dlq-0-10.parquet'), 'rb').read() == before
+    assert pipeline.rejection_counts() == {'not_valid_choice': 9, 'empty': 2}
+
+    redo = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redo.events_applied == 9
+    assert pipeline.rejection_counts() == {'empty': 2}
+    assert pipeline.dlq_dataset().count() == 2
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
-    """A CAS redrive that loses its commit race retries; the replacement
+    """A redrive that loses its commit race retries; the replacement
     DLQ file staged by the lost attempt must not be left behind."""
     import os
 
@@ -180,7 +230,7 @@ def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
         return real_commit(self, manifest, tmp_data, **k)
 
     monkeypatch.setattr(ManifestStore, 'commit_partition', lose_first_race)
-    make_upsert_fn(lake, redrive=True, concurrency='cas')(group)
+    make_upsert_fn(lake, redrive=True)(group)
     monkeypatch.undo()
 
     assert lost
@@ -188,6 +238,53 @@ def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
     assert pipeline.final_table().num_rows == 30
     for d in (pipeline.store.partition_dir(0), pipeline.store.dlq_dir(0)):
         assert not [f for f in os.listdir(d) if '.tmp' in f], d
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_redrive_keeps_dlq_committed_right_after(tmp_path, monkeypatch):
+    """A redrive must not remove a DLQ file that a second writer commits
+    right after it: the DLQ swap is part of the redrive's commit, so a
+    later commit's rejected rows survive. The second writer runs once the
+    redrive's commit has returned (inside the critical section its
+    .casput flock would deadlock)."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.sources.synth import LANGS
+    from filters_ray.state.manifest import ManifestStore
+
+    lake = str(tmp_path / 'lake')
+    pipeline = CDCPipeline(lake, num_partitions=1)
+    log = log_with_bad_langs()
+    pipeline.run(rd.from_arrow(log))
+    dead = log.filter(pc.or_(pc.equal(log.column('lang'), 'klingon'),
+                             pc.equal(log.column('repo'), '')))
+    group = CDCValidateStage(num_partitions=1,
+                             langs=list(LANGS) + ['klingon'])(dead)
+    martian = CDCValidateStage(num_partitions=1)(pa.Table.from_pylist([{
+        'lsn': 200, 'op': 'insert', 'repo': 'org/r', 'path': 'f200',
+        'commit': 'a' * 40, 'lang': 'martian', 'content': 'body 200',
+    }]))
+
+    real_commit = ManifestStore.commit_partition
+    raced = []
+
+    def commit_then_second_writer(self, manifest, staged=None, **k):
+        removed = real_commit(self, manifest, staged, **k)
+        if not raced:  # the redrive's commit landed
+            raced.append(True)
+            make_upsert_fn(lake)(martian)
+        return removed
+
+    monkeypatch.setattr(ManifestStore, 'commit_partition',
+                        commit_then_second_writer)
+    make_upsert_fn(lake, redrive=True)(group)
+    monkeypatch.undo()
+
+    assert raced
+    assert pipeline.rejection_counts() == {'empty': 1, 'not_valid_choice': 1}
+    assert pipeline.dlq_dataset().count() == 2
 
 
 def _event(lsn, lang='py', **extra) -> dict:

@@ -28,7 +28,7 @@ def test_manifest_roundtrip(tmp_path):
         partition_id=3, hwm_lsn=42, rows=10, bytes=1000,
         sha256='ab', rejected_by_code={'empty': 2},
     )
-    store.commit_partition(manifest, None)
+    store.commit_partition(manifest, None, expected_version=0)
     assert store.high_watermark(3) == 42
     again = store.read_manifest(3)
     assert again.rejected_by_code == {'empty': 2}
@@ -46,7 +46,7 @@ def test_commit_is_atomic_data_then_manifest(tmp_path):
     pq.write_table(table, tmp)
     store.commit_partition(
         PartitionManifest(partition_id=0, hwm_lsn=1, rows=1, bytes=10, sha256='d'),
-        {store.data_path(0): tmp},
+        {store.data_path(0): tmp}, expected_version=0,
     )
     assert os.path.exists(store.data_path(0))
     assert not os.path.exists(tmp)
@@ -55,7 +55,7 @@ def test_commit_is_atomic_data_then_manifest(tmp_path):
     # Empty commit removes stale data.
     store.commit_partition(
         PartitionManifest(partition_id=0, hwm_lsn=2, rows=0, bytes=0, sha256='e'),
-        None,
+        None, expected_version=1,
     )
     assert not os.path.exists(store.data_path(0))
 
@@ -132,14 +132,14 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
     assert got.column('content').to_pylist() == ['w']
 
 
-def test_unconditional_commit_still_unconditional(tmp_path):
-    """expected_version=None keeps the legacy flock-mode contract:
-    always publish, version = found + 1."""
-    store = ManifestStore(str(tmp_path))
-    store.write_meta(TableMeta(num_partitions=4))
-    store.commit_partition(_m(1, 5, 'a'), None, remove_data=False)
-    store.commit_partition(_m(1, 6, 'b'), None, remove_data=False)
-    assert store.read_manifest(1).commit_version == 2
+def test_commit_conflict_error_pickles():
+    """A lost race raised inside a Ray task reaches the caller intact."""
+    import pickle
+
+    err = pickle.loads(pickle.dumps(CommitConflictError(3, 1, 2)))
+    assert isinstance(err, CommitConflictError)
+    assert str(err) == str(CommitConflictError(3, 1, 2))
+    assert (err.partition_id, err.expected, err.found) == (3, 1, 2)
 
 
 def test_widen_schema_additive():
