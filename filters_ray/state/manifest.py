@@ -78,7 +78,7 @@ import json
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     'PartitionManifest', 'TableMeta', 'ManifestStore', 'CommitConflictError',
@@ -193,6 +193,12 @@ class ManifestStore:
 
     def dlq_dir(self, pid: int) -> str:
         return os.path.join(self.root, '_dlq', f'part={pid}')
+
+    def dlq_files(self, pid: int) -> List[str]:
+        """The partition's DLQ file paths, sorted by name."""
+        d = self.dlq_dir(pid)
+        names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+        return [os.path.join(d, n) for n in names if n.endswith('.parquet')]
 
     def delta_path(self, pid: int, name: str) -> str:
         return os.path.join(self.partition_dir(pid), name)

@@ -26,6 +26,18 @@ def log_with_bad_langs() -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
+def redrive_in_process(pipeline, monkeypatch):
+    """``replay_dlq`` with 'klingon' legal, its per-partition commits run
+    inline in this process, as with no Ray session, so patches reach them."""
+    import ray
+
+    from filters_ray.sources.synth import LANGS
+
+    with monkeypatch.context() as m:
+        m.setattr(ray, 'is_initialized', lambda: False)
+        return pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+
+
 @pytest.mark.usefixtures('ray_session')
 def test_redrive_after_widening_langs(tmp_path):
     import ray.data as rd
@@ -94,9 +106,7 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
     import ray.data as rd
 
-    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
     from filters_ray.sources.synth import LANGS
-    from filters_ray.stages.validate import ERRORS_COLUMN
 
     lake = str(tmp_path / 'lake3')
     pipeline = CDCPipeline(lake, num_partitions=1)
@@ -109,15 +119,6 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
     )
     assert files_before
 
-    # Build the redrive group IN-PROCESS (replay_dlq's stages, no Ray)
-    # so the injected crash hits the upsert function directly.
-    import pyarrow.parquet as pq
-    events = pa.concat_tables([
-        pq.read_table(os.path.join(dlq_dir, f)) for f in files_before
-    ]).drop_columns([ERRORS_COLUMN])
-    stage = CDCValidateStage(num_partitions=1, langs=list(LANGS) + ['klingon'])
-    group = stage(events)
-
     real_replace = os.replace
 
     def crash_on_dlq_swap(src, dst, *a, **k):
@@ -127,7 +128,7 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, 'replace', crash_on_dlq_swap)
     with pytest.raises(OSError, match='injected crash'):
-        make_upsert_fn(lake, redrive=True)(group)
+        redrive_in_process(pipeline, monkeypatch)
     monkeypatch.setattr(os, 'replace', real_replace)
 
     # Crash window: manifest/lake already carry the redriven rows, but
@@ -158,7 +159,6 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
 
     import ray.data as rd
 
-    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
     from filters_ray.sources.synth import LANGS
     from filters_ray.state import manifest
 
@@ -173,8 +173,6 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
     dlq_dir = pipeline.store.dlq_dir(0)
     assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
     before = open(os.path.join(dlq_dir, 'dlq-0-10.parquet'), 'rb').read()
-    group = CDCValidateStage(num_partitions=1,
-                             langs=list(LANGS) + ['klingon'])(log)
 
     real_write = manifest._atomic_write_json
 
@@ -185,7 +183,7 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest, '_atomic_write_json', crash_on_manifest)
     with pytest.raises(OSError, match='injected crash'):
-        make_upsert_fn(lake, redrive=True)(group)
+        redrive_in_process(pipeline, monkeypatch)
     monkeypatch.undo()
 
     assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
@@ -204,21 +202,13 @@ def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
     DLQ file staged by the lost attempt must not be left behind."""
     import os
 
-    import pyarrow.compute as pc
     import ray.data as rd
 
-    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
-    from filters_ray.sources.synth import LANGS
     from filters_ray.state.manifest import ManifestStore
 
     lake = str(tmp_path / 'lake')
     pipeline = CDCPipeline(lake, num_partitions=1)
-    log = log_with_bad_langs()
-    pipeline.run(rd.from_arrow(log))
-    dead = log.filter(pc.or_(pc.equal(log.column('lang'), 'klingon'),
-                             pc.equal(log.column('repo'), '')))
-    group = CDCValidateStage(num_partitions=1,
-                             langs=list(LANGS) + ['klingon'])(dead)
+    pipeline.run(rd.from_arrow(log_with_bad_langs()))
 
     real_commit = ManifestStore.commit_partition
     lost = []
@@ -230,7 +220,7 @@ def test_cas_redrive_conflict_leaves_no_staged_dlq(tmp_path, monkeypatch):
         return real_commit(self, manifest, tmp_data, **k)
 
     monkeypatch.setattr(ManifestStore, 'commit_partition', lose_first_race)
-    make_upsert_fn(lake, redrive=True)(group)
+    redrive_in_process(pipeline, monkeypatch)
     monkeypatch.undo()
 
     assert lost
@@ -247,21 +237,29 @@ def test_redrive_keeps_dlq_committed_right_after(tmp_path, monkeypatch):
     later commit's rejected rows survive. The second writer runs once the
     redrive's commit has returned (inside the critical section its
     .casput flock would deadlock)."""
-    import pyarrow.compute as pc
+    _redrive_beside_second_writer(tmp_path, monkeypatch, second_first=False)
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_redrive_keeps_dlq_committed_mid_redrive(tmp_path, monkeypatch):
+    """A DLQ file that a second writer commits after the redrive listed
+    the DLQ but before the redrive commits must be read, not removed
+    unread: the commit conflicts, and the retry lists the file."""
+    _redrive_beside_second_writer(tmp_path, monkeypatch, second_first=True)
+
+
+def _redrive_beside_second_writer(tmp_path, monkeypatch, second_first):
+    """Redrive a one-partition lake while a second writer commits the
+    'martian' rejection at lsn 200 at the redrive's first commit, before
+    or after it; that rejection must stay in the DLQ."""
     import ray.data as rd
 
     from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
-    from filters_ray.sources.synth import LANGS
     from filters_ray.state.manifest import ManifestStore
 
     lake = str(tmp_path / 'lake')
     pipeline = CDCPipeline(lake, num_partitions=1)
-    log = log_with_bad_langs()
-    pipeline.run(rd.from_arrow(log))
-    dead = log.filter(pc.or_(pc.equal(log.column('lang'), 'klingon'),
-                             pc.equal(log.column('repo'), '')))
-    group = CDCValidateStage(num_partitions=1,
-                             langs=list(LANGS) + ['klingon'])(dead)
+    pipeline.run(rd.from_arrow(log_with_bad_langs()))
     martian = CDCValidateStage(num_partitions=1)(pa.Table.from_pylist([{
         'lsn': 200, 'op': 'insert', 'repo': 'org/r', 'path': 'f200',
         'commit': 'a' * 40, 'lang': 'martian', 'content': 'body 200',
@@ -270,21 +268,105 @@ def test_redrive_keeps_dlq_committed_right_after(tmp_path, monkeypatch):
     real_commit = ManifestStore.commit_partition
     raced = []
 
-    def commit_then_second_writer(self, manifest, staged=None, **k):
+    def second_writer_beside_commit(self, manifest, staged=None, **k):
+        first = not raced  # the redrive's; the second writer's comes next
+        raced.append(True)
+        if first and second_first:
+            make_upsert_fn(lake)(martian)
         removed = real_commit(self, manifest, staged, **k)
-        if not raced:  # the redrive's commit landed
-            raced.append(True)
+        if first and not second_first:
             make_upsert_fn(lake)(martian)
         return removed
 
     monkeypatch.setattr(ManifestStore, 'commit_partition',
-                        commit_then_second_writer)
-    make_upsert_fn(lake, redrive=True)(group)
+                        second_writer_beside_commit)
+    redrive_in_process(pipeline, monkeypatch)
     monkeypatch.undo()
 
     assert raced
     assert pipeline.rejection_counts() == {'empty': 1, 'not_valid_choice': 1}
     assert pipeline.dlq_dataset().count() == 2
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_redrive_skips_dlq_rows_above_the_watermark(tmp_path, monkeypatch):
+    """An ingest that dies at its manifest write leaves its DLQ file on
+    disk with the watermark unmoved. A redrive must not apply those rows
+    or move the watermark past them: the batch is delivered again, and
+    its clean rows must then land."""
+    import os
+
+    import ray.data as rd
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.sources.synth import LANGS
+    from filters_ray.state import manifest
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+        [_event(lsn) for lsn in range(10)])))
+    batch = pa.Table.from_pylist(
+        [_event(lsn) for lsn in range(10, 16)] + [_event(16, 'klingon')])
+
+    real_write = manifest._atomic_write_json
+
+    def crash_on_manifest(path, payload):
+        if path.endswith('manifest.json'):
+            raise OSError('injected crash before manifest')
+        return real_write(path, payload)
+
+    monkeypatch.setattr(manifest, '_atomic_write_json', crash_on_manifest)
+    with pytest.raises(OSError, match='injected crash'):
+        make_upsert_fn(pipeline.lake_root)(CDCValidateStage(num_partitions=1)(batch))
+    monkeypatch.undo()
+    assert os.listdir(pipeline.store.dlq_dir(0)) == ['dlq-16-16.parquet']
+    assert pipeline.store.high_watermark(0) == 9
+
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert (redrive.events_applied, redrive.events_skipped) == (0, 1)
+    assert pipeline.store.high_watermark(0) == 9
+    assert pipeline.dlq_dataset().count() == 0
+
+    pipeline.run(rd.from_arrow(batch))
+    assert pipeline.final_table().column('path').to_pylist() == sorted(
+        f'f{lsn}' for lsn in range(16))
+    assert pipeline.rejection_counts() == {'not_valid_choice': 1}
+    assert pipeline.dlq_dataset().count() == 1
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_redrive_builds_no_ray_data_plan(tmp_path, monkeypatch):
+    """A redrive commits per partition, without the ingest's exchange."""
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
+    pipeline.run(rd.from_arrow(log_with_bad_langs()))
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError('replay_dlq built a Ray Data exchange')
+
+    monkeypatch.setattr(rd.Dataset, 'groupby', no_plan)
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    monkeypatch.undo()
+    assert redrive.events_applied == 10
+    assert pipeline.rejection_counts() == {'empty': 1}
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_run_after_validating_in_process(tmp_path):
+    """Validating in the calling process must not poison its later runs:
+    the validate callable shipped to tasks carries no compiled validator."""
+    import ray.data as rd
+
+    from filters_ray.pipelines.cdc import _make_validate_fn
+
+    log = log_with_bad_langs()
+    _make_validate_fn(4, None, True)(log)
+    report = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4).run(
+        rd.from_arrow(log))
+    assert report.rejected_by_code == {'not_valid_choice': 10, 'empty': 1}
 
 
 def _event(lsn, lang='py', **extra) -> dict:
