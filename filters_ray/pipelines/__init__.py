@@ -1,53 +1,2 @@
 """End-to-end pipelines: CDC upsert, dedup, similarity, text analysis,
 multimodal plumbing, corpus prep, and the query/oracle surface."""
-
-from ..stages.cogroup import hash_bucket_join
-from ..stages.topk import grouped_top_k
-from .cdc import CDCPipeline, RunReport, cdc_validator_spec, key_partition
-from .codecs import decode_bmp, decode_ppm, decode_wav, sniff_format
-from .corpus import prepare_corpus
-from .dedup import (
-    connected_components,
-    embedding_dedup,
-    exact_dedup,
-    minhash_candidates,
-    minhash_dedup,
-    simhash_dedup,
-    verify_jaccard_pairs,
-)
-from .similarity import IvfIndex, knn_brute_force, knn_ivf, train_centroids
-from .text import (
-    LangIdStage,
-    add_fingerprint,
-    add_quality_score,
-    add_token_count,
-)
-
-__all__ = [
-    'CDCPipeline',
-    'connected_components',
-    'decode_bmp',
-    'decode_ppm',
-    'decode_wav',
-    'grouped_top_k',
-    'hash_bucket_join',
-    'minhash_candidates',
-    'sniff_format',
-    'verify_jaccard_pairs',
-    'IvfIndex',
-    'LangIdStage',
-    'RunReport',
-    'add_fingerprint',
-    'add_quality_score',
-    'add_token_count',
-    'cdc_validator_spec',
-    'embedding_dedup',
-    'exact_dedup',
-    'key_partition',
-    'knn_brute_force',
-    'knn_ivf',
-    'minhash_dedup',
-    'prepare_corpus',
-    'simhash_dedup',
-    'train_centroids',
-]

@@ -14,14 +14,17 @@ size is unknown before it runs, takes the Ray Data plan:
 
 A micro-batch (parquet files or a materialized dataset of at most
 ``batch_size`` rows, counted without executing anything; see
-:func:`_one_batch_source`) takes plain Ray tasks instead, with the same
+:func:`_one_batch_source`) commits in one Ray task instead, with the same
 validate and upsert functions and none of the plan's fixed cost:
 
-    validate task: read (widened schema) → ValidateStage
-                   → stable sort by _part              # the exchange
-      → (sorted batch, one row range per non-empty partition)
-    min(partitions, CPUs) upsert tasks: upsert_partition over zero-copy
-                   slices of the batch → summary rows → run report
+    one commit task: read (widened schema) → ValidateStage
+                   → stable argsort by _part            # the exchange
+                   → upsert_partition over batch.take(order[lo:hi]),
+                     one contiguous share of partitions per CPU
+      → summary rows → run report
+    with min(partitions, CPUs) > 1, each other share's rows (only
+    those) go to a sibling upsert task; on one CPU the validated batch
+    never leaves the task's heap
 
 Scale design (SURVEY.md §4):
 
@@ -588,17 +591,19 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
     ))
 
 
-def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table) -> Dict[str, str]:
-    """Step 2: one range-keyed DLQ file per commit, deterministic per
-    replay window, holding the rejected events' own typed columns plus
-    ``_errors`` (the raw lsn is not stored: validating the file's ``lsn``
-    derives it again). Returns it staged, ``{final path: tmp path}``;
-    empty when nothing was rejected."""
+def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
+               version: int) -> Dict[str, str]:
+    """Step 2: one DLQ file per commit, ``dlq-<lo>-<hi>-<version>.parquet``
+    (the lsn range, 0 for an all-null one, and the ``commit_version`` the
+    commit stamps, so no two commits share a name), holding the rejected
+    events' own typed columns plus ``_errors`` (the raw lsn is not stored:
+    validating the file's ``lsn`` derives it again). Returns it staged,
+    ``{final path: tmp path}``; empty when nothing was rejected."""
     if not dlq.num_rows:
         return {}
     bounds = pc.min_max(dlq.column(RAW_LSN_COLUMN))
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
-    final = os.path.join(store.dlq_dir(pid), f'dlq-{lo}-{hi}.parquet')
+    final = os.path.join(store.dlq_dir(pid), f'dlq-{lo}-{hi}-{version}.parquet')
     out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
     os.makedirs(store.dlq_dir(pid), exist_ok=True)
     return {final: _stage(store, pid, out, 'dlq')}
@@ -820,7 +825,7 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     try:
         state, staged = _write_state(
             store, pid, last, incoming, mode, retain_history)
-        staged.update(_write_dlq(store, pid, dlq))
+        staged.update(_write_dlq(store, pid, dlq, last.commit_version + 1))
         # Step 5: one commit, conditional on the version ``last`` holds,
         # publishes the staged files with the manifest (and swaps a
         # redrive's DLQ).
@@ -925,7 +930,7 @@ def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
     most ``batch_size`` is one validate batch: parquet files (counted from
     their footers; every :meth:`CDCPipeline.tail` batch) and materialized
     datasets such as ``rd.from_arrow(...)`` (counted from block metadata).
-    Returns the validate task's input, ``(paths, block refs)`` with one of
+    Returns the commit task's input, ``(paths, block refs)`` with one of
     the two empty, or None for everything else (directories, lazy
     datasets, larger inputs), which takes the Ray Data plan."""
     from ray.data.dataset import MaterializedDataset
@@ -944,60 +949,66 @@ def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
     return None
 
 
-def _validate_task(validate, paths: List[str], *blocks: pa.Table) -> tuple:
-    """The task shape's validate and exchange: read the input (files under
-    their widened schema, or the dataset's blocks), validate it as one
-    batch and stable-sort it by ``_part``, which keeps input order inside
-    each partition, as the plan's exchange does. Returns the sorted batch
-    and ``(row ranges, wall s, cpu s)``, one ``(offset, length)`` range per
-    non-empty partition."""
+def _commit_task(validate, upsert, cpus: int, paths: List[str],
+                 *blocks: pa.Table) -> tuple:
+    """The task shape's whole commit in one task's heap: read the input
+    (files under their widened schema, or the dataset's blocks), validate
+    it as one batch, take the stable ``_part`` order (input order inside
+    each partition, as the plan's exchange keeps it) and upsert the
+    partitions in ``min(partitions, cpus)`` contiguous shares. This task
+    upserts the first share; each other share's rows, and only those, go
+    to a sibling :func:`_upsert_share` task. No sorted copy of the batch
+    is built: a partition's rows are one ``take`` of its stretch of the
+    order. One task per partition measured slower on one CPU than one per
+    CPU. Returns ``(summary rows in partition order, stats text)``."""
     wall, cpu = time.perf_counter(), time.process_time()
     if paths:
         batch = pq.read_table(paths, schema=_widened_schema(paths),
                               partitioning=None)
     else:
         batch = pa.concat_tables(blocks, promote_options='default')
-    if not batch.num_rows:  # the plan never calls a UDF on an empty block
-        return batch, ([], time.perf_counter() - wall, time.process_time() - cpu)
-    batch = validate(batch)
-    parts = batch.column(PART_COLUMN).to_numpy()
-    order = np.argsort(parts, kind='stable')
-    batch = batch.take(pa.array(order, type=pa.int64()))
-    # Row 0, every change of partition, and the end (partition ids are >= 0).
-    bounds = np.flatnonzero(np.diff(parts[order], prepend=-1, append=-1)).tolist()
-    ranges = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-    return batch, (ranges, time.perf_counter() - wall, time.process_time() - cpu)
-
-
-def _upsert_task(upsert, batch: pa.Table, ranges: List[tuple]) -> tuple:
-    """Run ``upsert`` over each range's zero-copy slice of the sorted batch;
-    returns ``(summary rows, wall s, cpu s)``."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    rows = [row for offset, length in ranges
-            for row in upsert(batch.slice(offset, length)).to_pylist()]
-    return rows, time.perf_counter() - wall, time.process_time() - cpu
-
-
-def _commit_as_tasks(source: tuple, validate, upsert) -> tuple:
-    """Commit one validate batch as one validate task and
-    ``min(partitions, CPUs)`` upsert tasks, each over a contiguous run of
-    partitions; the driver gets only ids, ranges and summary rows. One
-    task per partition measured slower on one CPU than one per CPU.
-    Returns ``(summary rows in partition order, stats text)``."""
-    import ray
-
-    paths, blocks = source
-    batch, meta = ray.remote(_validate_task).options(num_returns=2).remote(
-        validate, paths, *blocks)
-    ranges, v_wall, v_cpu = ray.get(meta)
-    n = max(1, min(len(ranges), int(ray.cluster_resources().get('CPU', 1))))
+    order, ranges = None, []
+    if batch.num_rows:  # the plan never calls a UDF on an empty block
+        batch = validate(batch)
+        parts = batch.column(PART_COLUMN).to_numpy()
+        order = np.argsort(parts, kind='stable')
+        # Row 0, every change of partition, and the end (partition ids are >= 0).
+        bounds = np.flatnonzero(np.diff(parts[order], prepend=-1, append=-1)).tolist()
+        ranges = list(zip(bounds, bounds[1:]))
+    validated = (time.perf_counter() - wall, time.process_time() - cpu)
+    n = max(1, min(len(ranges), cpus))
     cuts = [i * len(ranges) // n for i in range(n + 1)]
-    task = ray.remote(_upsert_task)
-    done = ray.get([task.remote(upsert, batch, ranges[lo:hi])
-                    for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
-    stats = _task_stats([('validate', [(v_wall, v_cpu)]),
+    shares = [ranges[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    siblings = []
+    if len(shares) > 1:
+        import ray
+
+        task = ray.remote(_upsert_share)
+        for share in shares[1:]:
+            first, last = share[0][0], share[-1][1]
+            siblings.append(task.remote(
+                upsert, batch.take(pa.array(order[first:last])),
+                [(lo - first, hi - first) for lo, hi in share]))
+    done = [_upsert_share(upsert, batch, share, order) for share in shares[:1]]
+    if siblings:
+        done += ray.get(siblings)
+    stats = _task_stats([('validate', [validated]),
                          ('upsert_partition', [(w, c) for _, w, c in done])])
     return [row for rows, _, _ in done for row in rows], stats
+
+
+def _upsert_share(upsert, batch: pa.Table, ranges: List[tuple],
+                  order: Optional[np.ndarray] = None) -> tuple:
+    """Run ``upsert`` on each ``(lo, hi)`` range's partition group: the
+    rows ``order[lo:hi]`` names, or without an order the zero-copy slice
+    ``lo:hi``. Returns ``(summary rows, wall s, cpu s)``."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    rows = []
+    for lo, hi in ranges:
+        group = (batch.slice(lo, hi - lo) if order is None
+                 else batch.take(pa.array(order[lo:hi])))
+        rows += upsert(group).to_pylist()
+    return rows, time.perf_counter() - wall, time.process_time() - cpu
 
 
 def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
@@ -1123,8 +1134,8 @@ class CDCPipeline:
         Two shapes run the same validate and upsert functions, chosen by
         :func:`_one_batch_source`: an input of at most ``batch_size`` rows
         whose size is known up front (parquet files, a materialized
-        dataset) commits as plain Ray tasks (:func:`_commit_as_tasks`),
-        which skip the plan's fixed cost and the helper actors its first
+        dataset) commits in one Ray task (:func:`_commit_task`), which
+        skips the plan's fixed cost and the helper actors its first
         execution starts; every other input runs the Ray Data plan
         (:func:`_commit_on_plan`). ``last_stats`` holds the per-stage
         breakdown either way, in ``Dataset.stats()`` form."""
@@ -1134,7 +1145,12 @@ class CDCPipeline:
                                 retain_history=self.retain_history)
         source = _one_batch_source(events, self.batch_size)
         if source is not None:
-            rows, self.last_stats = _commit_as_tasks(source, validate, upsert)
+            import ray
+
+            paths, blocks = source
+            cpus = int(ray.cluster_resources().get('CPU', 1))
+            rows, self.last_stats = ray.get(ray.remote(_commit_task).remote(
+                validate, upsert, cpus, paths, *blocks))
         else:
             rows, self.last_stats = _commit_on_plan(
                 events, validate, upsert, self.batch_size)

@@ -1,39 +1,1 @@
 """Ray Data batch stages."""
-
-from .bloom import BloomFilter, bloom_semi_filter, build_bloom
-from .cogroup import hash_bucket_join
-from .heavyhitters import heavy_hitters
-from .joinplan import auto_join, broadcast_join
-from .rangejoin import interval_join
-from .sketch import approx_distinct, hll_estimate, hll_merge, hll_sketch
-from .topk import grouped_top_k
-from .validate import (
-    ERRORS_COLUMN,
-    ORIGINAL_COLUMN,
-    RecordValidator,
-    ValidateStage,
-    errors_type,
-    split_clean_dlq,
-)
-
-__all__ = [
-    'BloomFilter',
-    'ERRORS_COLUMN',
-    'approx_distinct',
-    'auto_join',
-    'broadcast_join',
-    'bloom_semi_filter',
-    'build_bloom',
-    'grouped_top_k',
-    'hash_bucket_join',
-    'heavy_hitters',
-    'hll_estimate',
-    'hll_merge',
-    'hll_sketch',
-    'interval_join',
-    'ORIGINAL_COLUMN',
-    'RecordValidator',
-    'ValidateStage',
-    'errors_type',
-    'split_clean_dlq',
-]

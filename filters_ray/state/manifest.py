@@ -14,9 +14,10 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
         manifest.json                 # hwm_lsn, rows, sha256, counts,
                                       # deltas, history
       _dlq/part=<p>/
-        dlq-<lo>-<hi>.parquet         # dead-letter rows, one file per commit:
-                                      # the events' own input columns with
-                                      # their Arrow types, plus _errors
+        dlq-<lo>-<hi>-<v>.parquet     # dead-letter rows, one file per commit
+                                      # (v: its commit_version): the events'
+                                      # own input columns with their Arrow
+                                      # types, plus _errors
 
 Every parquet file above is zstd (default level) without dictionary pages
 or column min/max statistics, written to a tmp file by the lake's one
@@ -263,11 +264,9 @@ class ManifestStore:
 
         ``replace_dlq`` (a redrive): the staged DLQ file, if any, becomes
         the partition's whole DLQ — it is renamed into place after the
-        manifest is written, then every other DLQ file is removed. It
-        often takes the name of a file it replaces, so renaming it first
-        would let a crash before the manifest drop the redriven rows from
-        both the DLQ and the lake; this order leaves them in both, and the
-        next redrive re-applies them idempotently."""
+        manifest is written, then every other DLQ file is removed. A
+        crash before the manifest leaves the old DLQ whole, and the next
+        redrive re-applies its rows idempotently."""
         pid = manifest.partition_id
         staged = staged or {}
         dlq_dir = self.dlq_dir(pid)

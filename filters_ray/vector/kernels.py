@@ -270,7 +270,9 @@ def _kernel_choice(filt: fsimple.Choice) -> Callable[[pa.Array], KernelResult]:
     return kernel
 
 
-_NON_ASCII = r'[^\x00-\x7F]'
+def _non_ascii(arr: pa.Array) -> np.ndarray:
+    """Rows holding any non-ASCII character; nulls count as ASCII."""
+    return _as_bool_ndarray(pc.invert(pc.string_is_ascii(arr)), len(arr))
 
 
 def _kernel_casefold(filt: fstring.CaseFold) -> Callable[[pa.Array], KernelResult]:
@@ -281,7 +283,7 @@ def _kernel_casefold(filt: fstring.CaseFold) -> Callable[[pa.Array], KernelResul
         # ASCII rows: casefold == lower, fully vectorized. Non-ASCII rows
         # (rare in the CDC corpus) drop to Python str.casefold for parity
         # (e.g. 'ß' -> 'ss', which utf8_lower cannot produce).
-        non_ascii = _as_bool_ndarray(pc.match_substring_regex(arr, _NON_ASCII), len(arr))
+        non_ascii = _non_ascii(arr)
         lowered = pc.utf8_lower(arr)
         if non_ascii.any():
             py = arr.to_pylist()
@@ -306,7 +308,7 @@ def _kernel_strip(filt: fstring.Strip) -> Callable[[pa.Array], KernelResult]:
         # ASCII rows: RE2 (its \s and \p{C} agree with Python's inside
         # ASCII). Non-ASCII rows: the exact scalar regexes (RE2's \s is
         # ASCII-only — it would keep U+00A0 etc., found by hypothesis).
-        non_ascii = _as_bool_ndarray(pc.match_substring_regex(arr, _NON_ASCII), len(arr))
+        non_ascii = _non_ascii(arr)
         out = arr
         if leading:
             out = pc.replace_substring_regex(out, pattern=leading, replacement='', max_replacements=1)
@@ -346,7 +348,7 @@ def _normalize_string_array(arr: pa.Array) -> pa.Array:
     and (b) RE2's ``\\p{C}`` table diverges from the ``regex`` module's on
     e.g. unassigned codepoints (found by hypothesis).
     """
-    non_ascii = _as_bool_ndarray(pc.match_substring_regex(arr, _NON_ASCII), len(arr))
+    non_ascii = _non_ascii(arr)
     out = pc.replace_substring_regex(arr, pattern=_NPR_PATTERN, replacement='')
     if non_ascii.any():
         import unicodedata

@@ -119,6 +119,42 @@ def test_one_batch_inputs_skip_the_plan(tmp_path):
             pipeline.run(events)
 
 
+@pytest.mark.usefixtures('ray_session')
+def test_one_cpu_commit_matches_the_fan_out(tmp_path, monkeypatch):
+    """One micro-batch committed by ``_commit_task`` on one CPU (every
+    partition upserted in the task's own heap) and on four (three shares
+    shipped to sibling upsert tasks) leaves equal summary rows and
+    byte-equal lakes. On one CPU nothing touches the object store."""
+    import ray
+
+    from filters_ray.pipelines.cdc import _commit_task, _make_validate_fn, make_upsert_fn
+
+    log = make_events(SynthConfig(n_keys=80, n_events=600, n_repos=8, seed=47))
+    [path] = write_files(log, str(tmp_path / 'in'), 1)
+
+    def commit(cpus: int) -> tuple:
+        lake = str(tmp_path / f'cpus{cpus}')
+        CDCPipeline(lake, num_partitions=8)
+        rows, stats = _commit_task(_make_validate_fn(8, None, True),
+                                   make_upsert_fn(lake), cpus, [path])
+        return rows, stats, lake_files(lake)
+
+    def object_store(*args, **kwargs):
+        raise AssertionError('a one-CPU commit used the object store')
+
+    with monkeypatch.context() as m:
+        m.setattr(ray, 'put', object_store)
+        m.setattr(ray, 'remote', object_store)
+        one_rows, one_stats, one_lake = commit(1)
+    fan_rows, fan_stats, fan_lake = commit(4)
+    assert [row['partition_id'] for row in one_rows] == list(range(8))
+    assert one_rows == fan_rows
+    assert 'upsert_partition: 1 tasks executed' in one_stats
+    assert 'upsert_partition: 4 tasks executed' in fan_stats
+    assert sorted(one_lake) == sorted(fan_lake)
+    assert [k for k in one_lake if one_lake[k] != fan_lake[k]] == []
+
+
 def write_branch_files(directory) -> tuple:
     """A log cut into two files where only the second has the ``branch``
     column; returns the log and the two paths."""

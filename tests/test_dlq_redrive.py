@@ -151,10 +151,8 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
 @pytest.mark.usefixtures('ray_session')
 def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
-    """A redrive's replacement DLQ file takes the name of the file it
-    replaces when the rows that stay dead span the same lsns, so it may
-    move only after the manifest is written: a crash before that must
-    leave the DLQ exactly as it was."""
+    """A redrive's replacement DLQ file moves only after the manifest is
+    written: a crash before that must leave the DLQ exactly as it was."""
     import os
 
     import ray.data as rd
@@ -171,8 +169,8 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
         + [dict(_event(10), repo='')])
     pipeline.run(rd.from_arrow(log))
     dlq_dir = pipeline.store.dlq_dir(0)
-    assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
-    before = open(os.path.join(dlq_dir, 'dlq-0-10.parquet'), 'rb').read()
+    assert os.listdir(dlq_dir) == ['dlq-0-10-1.parquet']
+    before = open(os.path.join(dlq_dir, 'dlq-0-10-1.parquet'), 'rb').read()
 
     real_write = manifest._atomic_write_json
 
@@ -186,14 +184,35 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
         redrive_in_process(pipeline, monkeypatch)
     monkeypatch.undo()
 
-    assert os.listdir(dlq_dir) == ['dlq-0-10.parquet']
-    assert open(os.path.join(dlq_dir, 'dlq-0-10.parquet'), 'rb').read() == before
+    assert os.listdir(dlq_dir) == ['dlq-0-10-1.parquet']
+    assert open(os.path.join(dlq_dir, 'dlq-0-10-1.parquet'), 'rb').read() == before
     assert pipeline.rejection_counts() == {'not_valid_choice': 9, 'empty': 2}
 
     redo = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
     assert redo.events_applied == 9
     assert pipeline.rejection_counts() == {'empty': 2}
     assert pipeline.dlq_dataset().count() == 2
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_null_lsn_rejections_of_two_commits_keep_both_dlq_files(tmp_path):
+    """Two commits whose DLQ rows all have a null lsn span the same lsn
+    range (0-0); the commit version in the DLQ file name keeps the second
+    from overwriting the first, so the DLQ holds every rejected row."""
+    import os
+
+    import ray.data as rd
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    for path in ('a', 'b'):
+        event = pa.Table.from_pylist([_event(None, path=path)])
+        pipeline.run(rd.from_arrow(event.cast(event.schema.set(
+            0, pa.field('lsn', pa.int64())))))
+    assert pipeline.rejection_counts() == {'empty': 2}
+    assert sorted(os.listdir(pipeline.store.dlq_dir(0))) == [
+        'dlq-0-0-1.parquet', 'dlq-0-0-2.parquet']
+    assert pipeline.dlq_dataset().count() == 2
+    assert sorted(row['path'] for row in pipeline.dlq_dataset().take_all()) == ['a', 'b']
 
 
 @pytest.mark.usefixtures('ray_session')
@@ -319,7 +338,7 @@ def test_redrive_skips_dlq_rows_above_the_watermark(tmp_path, monkeypatch):
     with pytest.raises(OSError, match='injected crash'):
         make_upsert_fn(pipeline.lake_root)(CDCValidateStage(num_partitions=1)(batch))
     monkeypatch.undo()
-    assert os.listdir(pipeline.store.dlq_dir(0)) == ['dlq-16-16.parquet']
+    assert os.listdir(pipeline.store.dlq_dir(0)) == ['dlq-16-16-2.parquet']
     assert pipeline.store.high_watermark(0) == 9
 
     redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])

@@ -7,7 +7,7 @@ import pyarrow.compute as pc
 import pytest
 
 import filters_ray as f
-from filters_ray.stages import (
+from filters_ray.stages.validate import (
     ERRORS_COLUMN,
     RecordValidator,
     ValidateStage,
