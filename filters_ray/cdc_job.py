@@ -43,7 +43,8 @@ def main(argv=None) -> int:
     parser.add_argument('--strict-langs', nargs='*', default=None,
                         help='allowed lang values (default: built-in set)')
     parser.add_argument('--compact-every', type=int, default=8,
-                        help='compact a partition after this many deltas')
+                        help='compact a partition on the commit after its base '
+                             'plus deltas reach this many files')
     parser.add_argument('--retain-history', action='store_true',
                         help='keep per-commit delta snapshots (enables '
                              '--changes-since / --as-of; pinned at lake '

@@ -39,7 +39,9 @@ Scale design (SURVEY.md §4):
   touched partition instead of rewriting its base (write amplification
   O(batch), not O(partition)); readers merge-on-read (base ∪ manifest-
   listed deltas, LWW, tombstones dropped) and the partition compacts
-  back into a single base every ``compact_every`` deltas.
+  into a single base before a read would open more than
+  ``compact_every`` files. On a retained-history lake a partition's
+  first commit is a delta too, so its first rows are written once.
 * **Exactly-once** — per-partition high-watermark manifests with atomic
   rename commits (see :mod:`filters_ray.state.manifest`); replayed events
   with ``lsn <= hwm`` are dropped before merging, so resuming from any
@@ -593,7 +595,7 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
 
 def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
                version: int) -> Dict[str, str]:
-    """Step 2: one DLQ file per commit, ``dlq-<lo>-<hi>-<version>.parquet``
+    """Step 3: one DLQ file per commit, ``dlq-<lo>-<hi>-<version>.parquet``
     (the lsn range, 0 for an all-null one, and the ``commit_version`` the
     commit stamps, so no two commits share a name), holding the rejected
     events' own typed columns plus ``_errors`` (the raw lsn is not stored:
@@ -611,12 +613,14 @@ def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
 
 def _account_dlq(dlq: pa.Table, rejected: Dict[str, int],
                  corrupt: List[int]) -> tuple:
-    """Step 3: fold a commit's lsn-deduped rejections into the cumulative
+    """Step 2: fold a commit's lsn-deduped rejections into the cumulative
     per-code counts (incremental — VERDICT r2 #3: cost scales with the
     commit, not with the historical DLQ). Watermarkable (lsn ≥ 0)
     rejections cannot recount across commits, the watermark drops them;
     negative lsns pass every watermark, so the ones already counted
-    (``corrupt``) are skipped. Returns ``(counts, corrupt lsns)``."""
+    (``corrupt``) are skipped. Returns ``(countable rows, counts, corrupt
+    lsns)``: the countable rows are the ones the commit's DLQ file holds,
+    so a re-delivered corrupt event is stored once, as it is counted."""
     rejected = dict(rejected)
     lsn = dlq.column(RAW_LSN_COLUMN).combine_chunks()
     negative = pc.fill_null(pc.less(lsn, 0), False)
@@ -628,7 +632,7 @@ def _account_dlq(dlq: pa.Table, rejected: Dict[str, int],
     for code, cnt in _dlq_counts(countable).items():
         rejected[code] = rejected.get(code, 0) + cnt
     new = pc.drop_null(lsn.filter(negative)).to_pylist()
-    return rejected, sorted(set(corrupt).union(new))
+    return countable, rejected, sorted(set(corrupt).union(new))
 
 
 def _lww_snapshot(incoming: pa.Table) -> tuple:
@@ -755,21 +759,25 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     the manifest the attempt read; returns the summary row.
 
     Five steps: admit (watermark drop; for a redrive, the rows at or
-    below the watermark, lsn-deduped), DLQ write, DLQ accounting, state
+    below the watermark, lsn-deduped), DLQ accounting, DLQ write, state
     write, and one manifest commit. The state write runs in one of three
     modes:
 
     * ``noop`` — nothing valid arrived: counts and watermark only.
     * ``delta`` — a micro-batch appends ONE sorted delta file (no base
-      rewrite — VERDICT r2 #5); readers merge-on-read.
-    * ``rewrite`` — merge prior state (base + listed deltas, none on a
-      fresh partition) with the batch into one new base and drop the
-      deltas: a partition's first data, a delta list that reached
-      ``compact_every``, and every redrive.
+      rewrite — VERDICT r2 #5); readers merge-on-read. On a retained
+      lake this is also a partition's first data: its one snapshot is
+      the active delta and the history entry, and no base is written.
+    * ``rewrite`` — merge prior state (base + listed deltas) with the
+      batch into one new base and drop the deltas: when a read would
+      otherwise open more than ``compact_every`` files (base plus
+      deltas), every redrive, and a partition's first data on a lake
+      without retention.
 
     DLQ accounting is one rule: fold this commit's lsn-deduped rejections
     into the manifest's cumulative per-code counts, skipping negative
-    lsns already counted. Ingest starts from the committed totals; a
+    lsns already counted, and write exactly the rows it counted to the
+    commit's DLQ file. Ingest starts from the committed totals; a
     redrive starts from empty totals, because its group IS the
     partition's (re-validated) DLQ. A redrive's events were never
     applied, though the watermark passed them, and it rewrites the DLQ
@@ -784,7 +792,7 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     ``retain_history``: every commit also lists its (within-run LWW'd,
     tombstones kept) delta snapshot in the manifest's ``history``: a
     delta commit's own delta file, or one extra snapshot file beside a
-    rewrite's base. That is the record behind the change-data-feed
+    compaction's base. That is the record behind the change-data-feed
     (:meth:`CDCPipeline.changes`) and as-of-LSN time travel
     (:meth:`CDCPipeline.table_as_of`). Commit granularity, like Delta
     Lake CDF: versions a key overwrote *within* one micro-batch are
@@ -797,9 +805,9 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     dlq = _dedup_by_lsn(fresh.filter(has_errors))
 
     if redrive:
-        rejected, corrupt = _account_dlq(dlq, {}, [])
+        dlq, rejected, corrupt = _account_dlq(dlq, {}, [])
     else:
-        rejected, corrupt = _account_dlq(
+        dlq, rejected, corrupt = _account_dlq(
             dlq, last.rejected_by_code, last.dlq_corrupt_lsns)
 
     incoming = clean.drop_columns([
@@ -809,12 +817,13 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     incoming = incoming.rename_columns([
         'last_lsn' if c == 'lsn' else c for c in incoming.column_names
     ])
+    has_base = os.path.exists(store.data_path(pid))
     if redrive:
         mode = 'rewrite'
     elif incoming.num_rows == 0:
         mode = 'noop'
-    elif len(last.deltas) + 1 >= compact_every or not (
-            last.deltas or os.path.exists(store.data_path(pid))):
+    elif len(last.deltas) + has_base >= compact_every or not (
+            has_base or last.deltas or retain_history):
         mode = 'rewrite'
     else:
         mode = 'delta'
@@ -1074,8 +1083,12 @@ class CDCPipeline:
         identically). Size it to cluster-cores × small factor; at the
         10^10-event design point use 1024-4096.
     :param compact_every: micro-batches write per-partition delta files;
-        a partition compacts into one base file when its active delta
-        list reaches this length (VERDICT r2 #5).
+        a commit that finds a partition's base plus active deltas, the
+        files a merge-on-read opens, at this count compacts them into
+        one base file (VERDICT r2 #5). Either way a partition's first compaction is
+        its ``compact_every + 1``-th data commit: on a lake without
+        retention its first commit writes a base, on a retained one a
+        delta.
 
     Every partition commit is optimistic — a lock-free read-merge, then a
     commit conditional on the ``commit_version`` read, retried on a lost

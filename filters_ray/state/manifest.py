@@ -8,7 +8,9 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # layout version (2: one directory)
       _ingest_ledger.json             # files tail() has ingested
       part=<p>/
-        data.parquet                  # base rows, sorted by (repo, path)
+        data.parquet                  # base rows, sorted by (repo, path);
+                                      # with retention, only from the
+                                      # partition's first compaction on
         delta-<lo>-<hi>.parquet       # commit snapshots: active deltas and
                                       # retained history, one file each
         manifest.json                 # hwm_lsn, rows, sha256, counts,
@@ -68,8 +70,11 @@ micro-batch): a run appends one sorted delta file per touched partition
 (name derived from the run's LSN range, so a replayed window overwrites
 its own file); the manifest's ``deltas`` list is the authority for
 readers, which merge-on-read (base ∪ deltas, last-writer-wins, tombstones
-dropped); when the list reaches the pipeline's ``compact_every`` the
-partition is compacted back into one base file and the list empties.
+dropped); when base plus deltas, the files a read opens, reach the
+pipeline's ``compact_every``, the next commit compacts the partition into
+one base file and the list empties. A partition of a retained-history lake
+has no base until its first compaction: its first commit is a delta, whose
+one snapshot is both the active delta and the history entry.
 """
 
 from __future__ import annotations

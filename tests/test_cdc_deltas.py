@@ -102,6 +102,62 @@ def test_compaction_folds_deltas_into_base(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('retain_history', [True, False])
+def test_first_commit_shape_and_compaction_cadence(tmp_path, retain_history):
+    """2k+1 one-file commits into 4 partitions with compact_every=k. A
+    retained partition's first commit is a delta and writes no base (its
+    snapshot is the active delta and the history entry); a partition of
+    a lake without retention starts with a base. Either way a read opens
+    at most k files (base plus deltas), compaction lands on commits k+1
+    and 2k+1, and every read matches the oracle after every commit."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from filters_ray.pipelines.cdc import _drop_tombstones, _last_writer_wins
+
+    k = 3
+    log = make_events(SynthConfig(n_keys=60, n_events=700, n_repos=6, seed=53))
+    log = log.sort_by([('lsn', 'ascending')])  # chunk ends are commit boundaries
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4,
+                           compact_every=k, retain_history=retain_history)
+    boundaries, compactions, delivered = [], [], 0
+    for i, chunk in enumerate(_split_log(log, 2 * k + 1), start=1):
+        path = str(tmp_path / f'wal-{i:02d}.parquet')
+        pq.write_table(chunk, path)
+        pipeline.run(path)
+        manifests = pipeline.store.all_manifests()
+        assert sorted(manifests) == [0, 1, 2, 3]
+        shapes = set()
+        for pid, m in manifests.items():
+            assert m.commit_version == i  # every commit touches every partition
+            has_base = os.path.exists(pipeline.store.data_path(pid))
+            assert len(m.deltas) + has_base <= k
+            shapes.add((has_base, len(m.deltas)))
+            if i == 1 and retain_history:
+                assert not has_base and m.deltas == m.history
+            elif i == 1:
+                assert has_base and m.deltas == [] and m.history == []
+        assert len(shapes) == 1  # the partitions move in step
+        if i > 1 and shapes == {(True, 0)}:
+            compactions.append(i)
+
+        boundaries.append(max(m.hwm_lsn for m in manifests.values()))
+        delivered += chunk.num_rows
+        oracle = replay_oracle(log.slice(0, delivered).to_pylist())
+        assert final_state_digests(pipeline.final_table()) == oracle.sha256_by_key()
+        if not retain_history:
+            continue
+        feed = pipeline.changes()
+        assert final_state_digests(_drop_tombstones(_last_writer_wins(feed))) \
+            == oracle.sha256_by_key()
+        for b in boundaries:
+            prefix = log.filter(pc.less_equal(log.column('lsn'), b))
+            assert final_state_digests(pipeline.table_as_of(b)) == \
+                replay_oracle(prefix.to_pylist()).sha256_by_key()
+    assert compactions == [k + 1, 2 * k + 1]
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_replay_over_delta_state_is_idempotent(tmp_path):
     """Full-log replay over a lake holding active deltas applies nothing
     and changes nothing."""
@@ -150,25 +206,30 @@ def test_micro_batched_equals_single_run(tmp_path):
 @pytest.mark.usefixtures('ray_session')
 def test_corrupt_lsn_redelivery_counts_once(tmp_path):
     """A negative-lsn (unwatermarkable) invalid event re-delivered across
-    runs is one rejection, not one per delivery."""
+    runs is one rejection and one DLQ row, not one per delivery, alone
+    or beside a new one."""
     import ray.data as rd
 
-    def corrupt_log():
+    def corrupt_log(*lsns):
+        n = len(lsns)
         return pa.table({
-            'lsn': pa.array([-5], type=pa.int64()),
-            'op': pa.array(['update']),
-            'repo': pa.array(['r1']),
-            'path': pa.array(['p1']),
-            'commit': pa.array(['0' * 40]),
-            'lang': pa.array(['py']),
-            'content': pa.array(['x']),
+            'lsn': pa.array(lsns, type=pa.int64()),
+            'op': pa.array(['update'] * n),
+            'repo': pa.array(['r1'] * n),
+            'path': pa.array(['p1'] * n),
+            'commit': pa.array(['0' * 40] * n),
+            'lang': pa.array(['py'] * n),
+            'content': pa.array(['x'] * n),
         })
 
     pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=2)
-    pipeline.run(rd.from_arrow(corrupt_log()))
+    pipeline.run(rd.from_arrow(corrupt_log(-5)))
     assert pipeline.rejection_counts() == {'too_small': 1}
-    pipeline.run(rd.from_arrow(corrupt_log()))  # re-delivery
+    pipeline.run(rd.from_arrow(corrupt_log(-5)))  # re-delivery
     assert pipeline.rejection_counts() == {'too_small': 1}
+    pipeline.run(rd.from_arrow(corrupt_log(-5, -7)))
+    assert pipeline.rejection_counts() == {'too_small': 2}
+    assert sorted(r['lsn'] for r in pipeline.dlq_dataset().take_all()) == [-7, -5]
 
 
 @pytest.mark.usefixtures('ray_session')
