@@ -543,11 +543,23 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
     return its path — the lake's one parquet writer. Nothing here renames:
     :meth:`ManifestStore.commit_partition` publishes the tmp file.
 
-    Every lake file is zstd without dictionary pages: the unique key and
-    content columns (40-hex ``commit`` shas above all) gain nothing from a
-    dictionary, and zstd's entropy coder packs hex text that snappy
-    cannot. Readers need no setting, since Parquet records the codec per
-    column chunk.
+    Every lake file is zstd at its default level, and each column gets the
+    encoding that fits its data, by three fixed rules:
+
+    1. A string or binary column whose distinct count × 4 is at most the
+       file's rows gets a dictionary page (``op``, ``repo``, ``lang``):
+       each value is then stored once, and the rows hold small indices.
+    2. Every other string or binary column is ``DELTA_LENGTH_BYTE_ARRAY``:
+       the lengths are stored apart from the bytes, so zstd's entropy
+       coder sees pure text (40-hex ``commit`` shas compress to about
+       their 20 B/row floor instead of PLAIN's length-prefixed values).
+    3. The ``ARROW:schema`` footer entry is written only when the Parquet
+       schema alone would read back as a different Arrow schema
+       (:func:`_needs_arrow_schema`): ``large_string``, time zones and
+       schema metadata need it; the plain columns of base, delta and DLQ
+       files do not, and on a small file it was over a kilobyte. Nested
+       lists keep Arrow's item name in the Parquet schema, so the DLQ's
+       ``_errors`` reads back as written without the footer.
 
     No column chunk carries min/max statistics. Parquet stores them three
     times per chunk (page header, chunk metadata, footer), and they hold
@@ -561,14 +573,42 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
       range, so key min/max could prune nothing;
     * :func:`_one_batch_source` reads only ``num_rows`` from a footer.
 
-    The ``ARROW:schema`` footer entry stays: without it the types do not
-    round-trip (``large_string``, time zones, the ``_errors`` list's item
-    name), which the typed DLQ relies on. Files written with statistics
-    read the same way."""
+    Parquet records the encodings per column chunk, so readers need no
+    setting, and files written under earlier rules read the same way."""
+    dictionary, split = [], {}
+    for f in table.schema:
+        if not _is_byte_array(f.type):
+            continue
+        distinct = pc.count_distinct(table.column(f.name), mode='all').as_py()
+        if distinct * 4 <= table.num_rows:
+            dictionary.append(f.name)
+        else:
+            split[f.name] = 'DELTA_LENGTH_BYTE_ARRAY'
     tmp = store.tmp_path(pid, kind=kind)
-    pq.write_table(table, tmp, compression='zstd', use_dictionary=False,
-                   write_statistics=False)
+    footer = _needs_arrow_schema(table.schema.serialize().to_pybytes())
+    pq.write_table(table, tmp, compression='zstd', use_dictionary=dictionary,
+                   column_encoding=split, write_statistics=False,
+                   use_compliant_nested_type=False, store_schema=footer)
     return tmp
+
+
+def _is_byte_array(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
+
+
+@functools.lru_cache(maxsize=256)
+def _needs_arrow_schema(serialized: bytes) -> bool:
+    """Whether a file of this (serialized) Arrow schema needs the
+    ``ARROW:schema`` footer entry: write zero rows without it, the way
+    :func:`_stage` writes, and compare the schema Parquet alone gives back,
+    metadata and list item names included. Once per distinct schema."""
+    schema = pa.ipc.read_schema(pa.BufferReader(serialized))
+    sink = pa.BufferOutputStream()
+    pq.write_table(schema.empty_table(), sink, store_schema=False,
+                   use_compliant_nested_type=False)
+    back = pq.read_schema(pa.BufferReader(sink.getvalue()))
+    return not back.equals(schema, check_metadata=True)
 
 
 def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
@@ -875,7 +915,9 @@ def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
     :meth:`CDCPipeline.vacuum_history` for semantics): collapse the
     sub-``before_lsn`` history window into a checkpoint and record the
     floor; the commit removes the dropped files no active delta still
-    needs. With nothing to collapse it only sweeps crash debris (ADVICE
+    needs. A window of one file is its own checkpoint, so the commit only
+    moves the floor and rewrites nothing (the file can be an active
+    delta). With nothing to collapse it only sweeps crash debris (ADVICE
     r4). Returns the number of files removed."""
     manifest = store.read_manifest(pid)
     if manifest is None:
@@ -889,15 +931,19 @@ def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
             keep.append(name)
     if not drop:
         return store.sweep(pid)
-    ckpt = _last_writer_wins(_concat_widened([
-        _ensure_op(pq.read_table(store.delta_path(pid, name)))
-        for name in drop]))
-    lo = min(r[0] for r in drop.values())
     hi = max(r[1] for r in drop.values())
-    ckpt_name = f'delta-{lo}-{hi}.parquet'
-    manifest.history = [ckpt_name] + keep
+    staged = {}
+    if len(drop) > 1:
+        lo = min(r[0] for r in drop.values())
+        ckpt_name = f'delta-{lo}-{hi}.parquet'
+        ckpt = _last_writer_wins(_concat_widened([
+            _ensure_op(pq.read_table(store.delta_path(pid, name)))
+            for name in drop]))
+        manifest.history = [ckpt_name] + keep
+        staged[store.delta_path(pid, ckpt_name)] = _stage(store, pid, ckpt, 'vac')
+    elif hi <= manifest.history_floor_lsn:
+        return store.sweep(pid)  # the floor already covers the window
     manifest.history_floor_lsn = max(manifest.history_floor_lsn, hi)
-    staged = {store.delta_path(pid, ckpt_name): _stage(store, pid, ckpt, 'vac')}
     return store.commit_partition(manifest, staged, remove_data=False,
                                   expected_version=manifest.commit_version)
 

@@ -21,16 +21,21 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # own input columns with their Arrow
                                       # types, plus _errors
 
-Every parquet file above is zstd (default level) without dictionary pages
-or column min/max statistics, written to a tmp file by the lake's one
-writer (``_stage`` in ``pipelines/cdc.py``). No reader uses statistics:
-snapshot files are pruned by their ``<lo>-<hi>`` names, and every file
-spans the whole hashed key range. Parquet records the codec per column
-chunk, so readers need no setting and a lake still holding older snappy
-files, or files with statistics, reads as before; its partitions move to
-the current encoding as they compact. A manifest's
-``bytes`` is the on-disk size of the partition's ``data.parquet`` plus its
-listed delta files (history-only and DLQ files are not counted).
+Every parquet file above is zstd (default level) without column min/max
+statistics, written to a tmp file by the lake's one writer (``_stage`` in
+``pipelines/cdc.py``). No reader uses statistics: snapshot files are
+pruned by their ``<lo>-<hi>`` names, and every file spans the whole
+hashed key range. A string or binary column gets a dictionary page when
+its distinct count × 4 is at most the file's rows and is
+``DELTA_LENGTH_BYTE_ARRAY`` otherwise, and the ``ARROW:schema`` footer
+entry is written only for a schema that Parquet's own would not read
+back as written. Parquet records codec and encodings per column chunk,
+so readers need no setting and a lake still holding older snappy files,
+files with statistics or PLAIN zstd files with the footer reads as
+before; its partitions move to the current encoding as they compact. A
+manifest's ``bytes`` is the on-disk size of the partition's
+``data.parquet`` plus its listed delta files (history-only and DLQ files
+are not counted).
 
 One liveness rule: a ``delta-*.parquet`` file exists iff the committed
 manifest lists it in ``deltas`` (merged on read) or ``history`` (the

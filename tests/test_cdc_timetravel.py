@@ -330,3 +330,34 @@ def test_vacuum_sweeps_orphaned_history_files(tmp_path, ray_session):
         assert _snapshot_files(pipeline, pid) == set(m.deltas) | set(m.history)
     assert final_state_digests(pipeline.final_table()) == before
     assert final_state_digests(pipeline.table_as_of(2)) == before
+
+
+def test_vacuum_of_one_file_window_moves_only_the_floor(tmp_path, ray_session):
+    """A vacuum window of one history file is its own checkpoint: the
+    commit moves ``history_floor_lsn`` and rewrites nothing, so the file
+    (here also the partition's active delta) keeps its bytes and inode,
+    no tmp file is left, and ``bytes`` stays the on-disk size."""
+    import ray.data as rd
+
+    pipeline = CDCPipeline(str(tmp_path / 'one'), num_partitions=1,
+                           retain_history=True)
+    pipeline.run(rd.from_arrow(make_events(SynthConfig(n_keys=10, n_events=40, seed=3))))
+    store = pipeline.store
+    before = store.read_manifest(0)
+    (name,) = before.history
+    assert before.deltas == [name]
+    path = store.delta_path(0, name)
+    stat, data = os.stat(path), open(path, 'rb').read()
+
+    assert pipeline.vacuum_history(10**9) == 0
+    after = store.read_manifest(0)
+    assert after.history == [name] and after.deltas == [name]
+    assert after.history_floor_lsn == before.hwm_lsn > before.history_floor_lsn
+    assert after.commit_version == before.commit_version + 1
+    assert os.stat(path).st_ino == stat.st_ino
+    assert open(path, 'rb').read() == data
+    assert after.bytes == os.path.getsize(path)
+    assert not [f for f in os.listdir(store.partition_dir(0)) if '.tmp-' in f]
+    # Vacuuming the same window again finds the floor already there.
+    assert pipeline.vacuum_history(10**9) == 0
+    assert store.read_manifest(0).commit_version == after.commit_version

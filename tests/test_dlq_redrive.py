@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import datetime
+
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from filters_ray.pipelines.cdc import CDCPipeline
@@ -394,9 +397,20 @@ def _event(lsn, lang='py', **extra) -> dict:
             **extra}
 
 
+def _with_extra(name: str, values: list, type_: pa.DataType) -> pa.Table:
+    """The two-event log (lsn 0 clean, lsn 1 rejected for its lang) with
+    an extra column of ``type_``."""
+    return pa.Table.from_pylist([_event(0), _event(1, 'klingon')]).append_column(
+        name, pa.array(values, type=type_))
+
+
+_SEEN = datetime.datetime(2026, 1, 2, 3, 4, 5, tzinfo=datetime.timezone.utc)
+
 # Each log has one clean event (lsn 0) and one event rejected for its
 # lang (lsn 1 or "3"); the redrive widens the langs. Each case carries a
 # column whose type a per-row JSON detour through the DLQ would lose.
+# The last field says whether the DLQ file needs the ``ARROW:schema``
+# footer: only for types Parquet's own schema cannot carry.
 _TYPED_CASES = {
     # Non-UTF-8 bytes must stay non-UTF-8, so the row stays dead.
     'binary_content': (
@@ -407,12 +421,12 @@ _TYPED_CASES = {
                 (c, pa.string()) for c in ('op', 'repo', 'path', 'commit', 'lang')
             ] + [('content', pa.binary())]),
         ),
-        0, {'wrong_encoding': 1, 'empty': 1}, 'f1', None,
+        0, {'wrong_encoding': 1, 'empty': 1}, 'f1', None, False,
     ),
     # An int64 extra column comes back as int64, not as a string.
     'int64_extra_column': (
         pa.Table.from_pylist([_event(0, stars=5), _event(1, 'klingon', stars=7)]),
-        1, {}, 'f1', {'stars': 7, 'last_lsn': 1},
+        1, {}, 'f1', {'stars': 7, 'last_lsn': 1}, False,
     ),
     # A string lsn the Int chain accepts keeps its value.
     'string_lsn': (
@@ -420,7 +434,17 @@ _TYPED_CASES = {
             dict(_event(0), lsn='0'),
             dict(_event(3, 'klingon'), lsn='3'),
         ]),
-        1, {}, 'f3', {'last_lsn': 3, 'lang': 'klingon'},
+        1, {}, 'f3', {'last_lsn': 3, 'lang': 'klingon'}, False,
+    ),
+    # Parquet alone reads large_string back as string.
+    'large_string_extra_column': (
+        _with_extra('note', ['a', 'b'], pa.large_string()),
+        1, {}, 'f1', {'note': 'b', 'last_lsn': 1}, True,
+    ),
+    # Parquet alone reads a zoned timestamp back in UTC.
+    'zoned_timestamp_extra_column': (
+        _with_extra('seen', [_SEEN, _SEEN], pa.timestamp('us', tz='Asia/Tokyo')),
+        1, {}, 'f1', {'seen': _SEEN, 'last_lsn': 1}, True,
     ),
 }
 
@@ -432,9 +456,11 @@ def test_redrive_keeps_input_types(tmp_path, case):
 
     from filters_ray.sources.synth import LANGS
 
-    log, applied, counts, path, expect = _TYPED_CASES[case]
+    log, applied, counts, path, expect, footer = _TYPED_CASES[case]
     pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
     pipeline.run(rd.from_arrow(log))
+    (dlq_file,) = pipeline.store.dlq_files(0)
+    assert (b'ARROW:schema' in (pq.read_metadata(dlq_file).metadata or {})) == footer
     dlq = pipeline.dlq_dataset()
     assert dlq.schema().base_schema == log.schema
     assert dlq.take_all() == log.slice(1).to_pylist()
@@ -448,6 +474,9 @@ def test_redrive_keeps_input_types(tmp_path, case):
         assert row is None
     else:
         assert {k: row[k] for k in expect} == expect
+        lake = pipeline.final_table().schema
+        for k in set(expect) & set(log.column_names) - {'lsn'}:
+            assert lake.field(k).type == log.schema.field(k).type, k
 
 
 @pytest.mark.usefixtures('ray_session')
