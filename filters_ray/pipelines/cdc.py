@@ -433,22 +433,15 @@ def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
 
 
 def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]:
-    """Base + manifest-LISTED delta paths (unlisted deltas are orphans).
-
-    A snapshot file exists iff the committed manifest lists it, so a
-    listed delta missing from disk is an error, not an empty delta: it
-    raises ``FileNotFoundError`` (a commit attempt retries on it)."""
-    paths = []
-    if os.path.exists(store.data_path(pid)):
-        paths.append(store.data_path(pid))
-    if manifest is not None:
-        for name in manifest.deltas:
-            p = store.delta_path(pid, name)
-            if not os.path.exists(p):
-                raise FileNotFoundError(
-                    f'partition {pid}: the manifest lists {p}, which is not on disk')
-            paths.append(p)
-    return paths
+    """The files a merge-on-read opens: the manifest's base and listed
+    deltas, none for a never-committed partition. A file exists iff the
+    committed manifest names it, so a named file missing from disk is an
+    error, not an empty one: reading it raises ``FileNotFoundError`` (a
+    commit attempt retries on it)."""
+    if manifest is None:
+        return []
+    names = ([manifest.base] if manifest.base else []) + manifest.deltas
+    return [store.delta_path(pid, name) for name in names]
 
 
 def _read_partition_tables(
@@ -619,15 +612,12 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
     unique — FIXTURES.md §2). Corrupt LSNs (null / negative) cannot be
     watermarked: they always pass and are deduplicated at DLQ-accounting
     time instead (the lsn chain keeps them out of the lake). A redrive
-    group IS the partition's DLQ, which the watermark already passed, so
-    it keeps the rows at or below the watermark (corrupt lsns included),
-    deduplicated by lsn. A DLQ row above it belongs to a commit that
-    never landed: its batch is delivered again, and the redrive's DLQ
-    swap removes the file like other crash debris."""
-    raw_lsn = group.column(RAW_LSN_COLUMN)
+    group IS the partition's manifest-listed DLQ, whose files come from
+    commits that raised the watermark over every row in them, so it
+    keeps every row, deduplicated by lsn."""
     if redrive:
-        return _dedup_by_lsn(group.filter(
-            pc.fill_null(pc.less_equal(raw_lsn, hwm), True)))
+        return _dedup_by_lsn(group)
+    raw_lsn = group.column(RAW_LSN_COLUMN)
     return group.filter(pc.fill_null(
         pc.or_(pc.greater(raw_lsn, hwm), pc.less(raw_lsn, 0)), True,
     ))
@@ -645,7 +635,7 @@ def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
         return {}
     bounds = pc.min_max(dlq.column(RAW_LSN_COLUMN))
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
-    final = os.path.join(store.dlq_dir(pid), f'dlq-{lo}-{hi}-{version}.parquet')
+    final = store.dlq_path(pid, f'dlq-{lo}-{hi}-{version}.parquet')
     out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
     os.makedirs(store.dlq_dir(pid), exist_ok=True)
     return {final: _stage(store, pid, out, 'dlq')}
@@ -690,12 +680,14 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
                  incoming: pa.Table, mode: str, retain_history: bool) -> tuple:
     """Step 4: stage the partition's new state in ``mode`` over the last
     committed one and return ``(manifest state fields, staged files)``, the
-    staged files a ``{final path: tmp path}`` map for the commit."""
+    staged files a ``{final path: tmp path}`` map for the commit. A
+    rewrite names its base after the version it commits, so the base it
+    replaces stays readable until the manifest stops naming it."""
     deltas, history = list(last.deltas), list(last.history)
     if mode == 'noop':
         # A never-committed partition (empty sha256) gets the empty digest.
         sha = last.sha256 or _canonical_digest(incoming)
-        return dict(rows=last.rows, bytes=last.bytes, sha256=sha,
+        return dict(rows=last.rows, bytes=last.bytes, sha256=sha, base=last.base,
                     deltas=deltas, history=history), {}
     if mode == 'delta':
         delta, name = _lww_snapshot(incoming)
@@ -715,7 +707,8 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         tmp = _stage(store, pid, delta, 'delta')
         state = dict(rows=_merge_partition_tables(keys).num_rows,
                      bytes=last.bytes + os.path.getsize(tmp), sha256=sha,
-                     deltas=_append_new(deltas, name), history=history)
+                     base=last.base, deltas=_append_new(deltas, name),
+                     history=history)
         return state, {store.delta_path(pid, name): tmp}
     # rewrite: the full canonical state in hand. The folded-away deltas
     # were retained at their own commits; only this batch is new history.
@@ -726,12 +719,13 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         snap, name = _lww_snapshot(incoming)
         staged[store.delta_path(pid, name)] = _stage(store, pid, snap, 'hist')
         history = _append_new(history, name)
-    nbytes = 0
+    base, nbytes = None, 0
     if alive.num_rows:
-        tmp = staged[store.data_path(pid)] = _stage(store, pid, alive, 'data')
+        base = f'base-{last.commit_version + 1}.parquet'
+        tmp = staged[store.delta_path(pid, base)] = _stage(store, pid, alive, 'data')
         nbytes = os.path.getsize(tmp)
     return dict(rows=alive.num_rows, bytes=nbytes,
-                sha256=_canonical_digest(alive),
+                sha256=_canonical_digest(alive), base=base,
                 deltas=[], history=history), staged
 
 
@@ -798,10 +792,9 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     """One commit attempt of a validated partition group over ``last``,
     the manifest the attempt read; returns the summary row.
 
-    Five steps: admit (watermark drop; for a redrive, the rows at or
-    below the watermark, lsn-deduped), DLQ accounting, DLQ write, state
-    write, and one manifest commit. The state write runs in one of three
-    modes:
+    Five steps: admit (watermark drop; for a redrive, lsn dedup), DLQ
+    accounting, DLQ write, state write, and one manifest commit. The
+    state write runs in one of three modes:
 
     * ``noop`` — nothing valid arrived: counts and watermark only.
     * ``delta`` — a micro-batch appends ONE sorted delta file (no base
@@ -817,17 +810,14 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     DLQ accounting is one rule: fold this commit's lsn-deduped rejections
     into the manifest's cumulative per-code counts, skipping negative
     lsns already counted, and write exactly the rows it counted to the
-    commit's DLQ file. Ingest starts from the committed totals; a
-    redrive starts from empty totals, because its group IS the
-    partition's (re-validated) DLQ. A redrive's events were never
-    applied, though the watermark passed them, and it rewrites the DLQ
-    directory to hold only the still-invalid rows; LWW against the base
+    commit's DLQ file. Ingest starts from the committed totals and
+    appends its file to the manifest's ``dlq``; a redrive starts from
+    empty totals, because its group IS the partition's (re-validated)
+    DLQ, and its file of still-invalid rows becomes the whole ``dlq``
+    (none when every row validated). A redrive's events were never
+    applied, though the watermark passed them; LWW against the base
     still protects ordering, so a redriven event older than the current
-    row loses the merge. The DLQ swap is part of the redrive's commit:
-    the replacement DLQ file keeps its tmp name until the manifest is
-    written, and the obsolete files go only after it, so a crash
-    mid-redrive never loses dead-letter rows (ADVICE r1: atomic redrive
-    swap).
+    row loses the merge.
 
     ``retain_history``: every commit also lists its (within-run LWW'd,
     tombstones kept) delta snapshot in the manifest's ``history``: a
@@ -857,7 +847,7 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     incoming = incoming.rename_columns([
         'last_lsn' if c == 'lsn' else c for c in incoming.column_names
     ])
-    has_base = os.path.exists(store.data_path(pid))
+    has_base = last.base is not None
     if redrive:
         mode = 'rewrite'
     elif incoming.num_rows == 0:
@@ -874,10 +864,11 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     try:
         state, staged = _write_state(
             store, pid, last, incoming, mode, retain_history)
-        staged.update(_write_dlq(store, pid, dlq, last.commit_version + 1))
+        dlq_file = _write_dlq(store, pid, dlq, last.commit_version + 1)
+        staged.update(dlq_file)
+        dlq_names = [os.path.basename(f) for f in dlq_file]
         # Step 5: one commit, conditional on the version ``last`` holds,
-        # publishes the staged files with the manifest (and swaps a
-        # redrive's DLQ).
+        # publishes the staged files with the manifest.
         store.commit_partition(
             PartitionManifest(
                 partition_id=pid,
@@ -886,10 +877,10 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
                 events_applied=clean.num_rows,
                 events_skipped=skipped,
                 dlq_corrupt_lsns=corrupt,
+                dlq=dlq_names if redrive else last.dlq + dlq_names,
                 **state,
             ),
-            staged, remove_data=mode == 'rewrite',
-            expected_version=last.commit_version, replace_dlq=redrive,
+            staged, expected_version=last.commit_version,
         )
     except Exception:
         # A failed attempt must not strand its tmp files.
@@ -944,7 +935,7 @@ def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
     elif hi <= manifest.history_floor_lsn:
         return store.sweep(pid)  # the floor already covers the window
     manifest.history_floor_lsn = max(manifest.history_floor_lsn, hi)
-    return store.commit_partition(manifest, staged, remove_data=False,
+    return store.commit_partition(manifest, staged,
                                   expected_version=manifest.commit_version)
 
 
@@ -954,17 +945,16 @@ def _redrive_attempt(store: ManifestStore, pid: int, validate: Callable,
     (see :meth:`CDCPipeline.replay_dlq`); returns the partition's summary
     rows, none when its DLQ is empty.
 
-    The manifest is read BEFORE the DLQ is listed: every committed DLQ
-    file bumps ``commit_version``, so a file committed after the listing
-    fails this attempt's commit and the retry lists it. The files are
-    read under their widened schema with ``_errors`` dropped and
-    validated as one table. No exchange: ``_part`` hashes the validated
-    or raw ``(repo, path)``, which no lang or extra-key setting changes,
-    so every row re-validates into this partition."""
+    The DLQ is the files the manifest read lists: a DLQ file committed
+    after that read fails this attempt's commit, and the retry reads it.
+    The files are read under their widened schema with ``_errors``
+    dropped and validated as one table. No exchange: ``_part`` hashes the
+    validated or raw ``(repo, path)``, which no lang or extra-key setting
+    changes, so every row re-validates into this partition."""
     last = _last_manifest(store, pid)
-    paths = store.dlq_files(pid)
-    if not paths:
+    if not last.dlq:
         return []
+    paths = [store.dlq_path(pid, name) for name in last.dlq]
     events = pq.read_table(paths, schema=_widened_schema(paths, drop=(ERRORS_COLUMN,)),
                            partitioning=None)
     return _apply_partition(validate(events), store, pid, last, redrive=True,
@@ -1170,12 +1160,11 @@ class CDCPipeline:
                     meta = TableMeta(num_partitions=num_partitions,
                                      retain_history=retain_history)
                     store.write_meta(meta)
-        if meta.retain_history and meta.version < 2:
+        if meta.version < 3:
             raise ValueError(
-                f'{lake_root} is a layout-version-{meta.version} lake with '
-                'retained history under part=<p>/history/; this version keeps '
-                'every commit snapshot in part=<p>/ (layout version 2) and '
-                'cannot read it',
+                f'{lake_root} is a layout-version-{meta.version} lake; this '
+                'version reads only lakes whose manifests name every live '
+                'file (layout version 3): rebuild it by replaying its log',
             )
         # The pinned settings win (a no-op for the creator): partition
         # count for replay determinism; retention because a lake that
@@ -1469,22 +1458,23 @@ class CDCPipeline:
 
         The DLQ files hold the events as delivered, and each already sits
         in its key's partition, so a redrive is one optimistic commit per
-        partition that has DLQ files, like vacuum (:meth:`_per_partition`,
-        :func:`_redrive_attempt`): read the manifest, then list, read and
-        validate the partition's DLQ, and commit conditional on the
-        manifest read. No Ray Data plan and no exchange run. Rows that
-        validate are merged into the lake (LWW vs the base still applies,
-        so a redriven event never overrides a newer writer); rows that
-        still fail remain the partition's entire DLQ (files rewritten;
-        rejection counts shrink accordingly). A DLQ file committed while
-        the redrive runs is read by its retry, never removed unread.
+        partition whose manifest lists DLQ files, like vacuum
+        (:meth:`_per_partition`, :func:`_redrive_attempt`): read the
+        manifest, read and validate the DLQ files it lists, and commit
+        conditional on the manifest read. No Ray Data plan and no exchange
+        run. Rows that validate are merged into the lake (LWW vs the base
+        still applies, so a redriven event never overrides a newer
+        writer); rows that still fail become the partition's entire DLQ,
+        one new file (rejection counts shrink accordingly). A DLQ file
+        committed while the redrive runs is read by its retry, never
+        removed unread.
         """
         validate = _make_validate_fn(
             self.num_partitions,
             langs if langs is not None else self.langs,
             allow_extra_keys if allow_extra_keys is not None else self.allow_extra_keys,
         )
-        pids = [pid for pid in range(self.num_partitions) if self.store.dlq_files(pid)]
+        pids = [pid for pid, m in self.store.all_manifests().items() if m.dlq]
         return self._report(row for rows in self._per_partition(
             pids, _redrive_attempt, validate, self.compact_every, self.retain_history)
             for row in rows)
@@ -1512,11 +1502,8 @@ class CDCPipeline:
         }
         any_deltas = any(m is not None and m.deltas for m in manifests.values())
         if not any_deltas:
-            paths = [
-                self.store.data_path(pid)
-                for pid in range(self.num_partitions)
-                if os.path.exists(self.store.data_path(pid))
-            ]
+            paths = [self.store.delta_path(pid, m.base)
+                     for pid, m in manifests.items() if m is not None and m.base]
             if not paths:
                 return rd.from_arrow(pa.table({}))
             return rd.read_parquet(paths, columns=columns)
@@ -1555,13 +1542,13 @@ class CDCPipeline:
     def dlq_dataset(self):
         """The dead-letter dataset: every rejected event as delivered, its
         own input columns with their Arrow types (``_errors`` pruned), under
-        one schema widened across the DLQ files, so a column added in a
-        later run reads as null on earlier rows. :meth:`replay_dlq` reads
-        the same files, per partition."""
+        one schema widened across the DLQ files the manifests list, so a
+        column added in a later run reads as null on earlier rows.
+        :meth:`replay_dlq` reads the same files, per partition."""
         import ray.data as rd
 
-        paths = [p for pid in range(self.num_partitions)
-                 for p in self.store.dlq_files(pid)]
+        paths = [self.store.dlq_path(pid, name)
+                 for pid, m in self.store.all_manifests().items() for name in m.dlq]
         if not paths:
             return rd.from_arrow(pa.table({}))
         return _read_widened(paths, drop=(ERRORS_COLUMN,))
@@ -1604,7 +1591,8 @@ class CDCPipeline:
     def lake_report(self) -> dict:
         """Ops summary of the whole lake from manifests alone (no data
         files touched): totals, per-partition extremes (skew evidence),
-        delta/compaction and history state, cumulative rejections."""
+        delta/compaction, history and DLQ file counts, cumulative
+        rejections."""
         manifests = self.store.all_manifests()
         if not manifests:
             return {'partitions': self.num_partitions, 'committed': 0}
@@ -1623,6 +1611,7 @@ class CDCPipeline:
             'active_deltas': int(sum(len(m.deltas) for m in manifests.values())),
             'history_files': int(
                 sum(len(m.history) for m in manifests.values())),
+            'dlq_files': int(sum(len(m.dlq) for m in manifests.values())),
             'events_applied': int(
                 sum(m.events_applied for m in manifests.values())),
             'events_skipped': int(

@@ -5,16 +5,18 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
 
     <lake_root>/
       _meta.json                      # num_partitions, key columns, retention,
-                                      # layout version (2: one directory)
+                                      # layout version (3: the manifest
+                                      # names every live file)
       _ingest_ledger.json             # files tail() has ingested
       part=<p>/
-        data.parquet                  # base rows, sorted by (repo, path);
-                                      # with retention, only from the
-                                      # partition's first compaction on
+        base-<v>.parquet              # base rows, sorted by (repo, path),
+                                      # written by commit_version v; with
+                                      # retention, only from the partition's
+                                      # first compaction on
         delta-<lo>-<hi>.parquet       # commit snapshots: active deltas and
                                       # retained history, one file each
-        manifest.json                 # hwm_lsn, rows, sha256, counts,
-                                      # deltas, history
+        manifest.json                 # hwm_lsn, rows, sha256, counts, base,
+                                      # deltas, history, dlq
       _dlq/part=<p>/
         dlq-<lo>-<hi>-<v>.parquet     # dead-letter rows, one file per commit
                                       # (v: its commit_version): the events'
@@ -33,21 +35,24 @@ back as written. Parquet records codec and encodings per column chunk,
 so readers need no setting and a lake still holding older snappy files,
 files with statistics or PLAIN zstd files with the footer reads as
 before; its partitions move to the current encoding as they compact. A
-manifest's ``bytes`` is the on-disk size of the partition's
-``data.parquet`` plus its listed delta files (history-only and DLQ files
-are not counted).
+manifest's ``bytes`` is the on-disk size of the partition's base plus
+its listed delta files (history-only and DLQ files are not counted).
 
-One liveness rule: a ``delta-*.parquet`` file exists iff the committed
-manifest lists it in ``deltas`` (merged on read) or ``history`` (the
-change feed and time travel), or both — a delta batch and its history
-entry are the same file. :meth:`ManifestStore.commit_partition` is the
-only code that adds or removes any partition file, DLQ files included:
-in one critical section it renames the staged tmp files into place,
-writes the manifest, removes every snapshot file the new manifest no
-longer lists (compacted deltas, vacuumed history) and, for a redrive,
-swaps the partition's DLQ. Layout version 1 kept retained history
-in a second directory, ``part=<p>/history/``, as hardlinks; a version-1
-lake with retention does not open.
+One liveness rule: a ``*.parquet`` file in ``part=<p>/`` lives iff the
+committed manifest names it as its ``base`` or lists it in ``deltas``
+(merged on read) or ``history`` (the change feed and time travel) — a
+delta batch and its history entry are the same file — and one in
+``_dlq/part=<p>/`` lives iff the manifest lists it in ``dlq``. Readers
+open only the files the manifest names, never a directory listing, so a
+file no manifest lists is invisible and is garbage by definition. A base
+and a DLQ file carry the ``commit_version`` that wrote them in their
+names, so no commit renames over a live one.
+:meth:`ManifestStore.commit_partition` is the only code that adds or
+removes any partition file, DLQ files included. Layout version 2 named
+the base ``data.parquet`` and found the DLQ by listing its directory;
+version 1 kept retained history in ``part=<p>/history/``. A lake of
+either does not open: its manifests name neither base nor DLQ, so it is
+rebuilt by replaying its log.
 
 Commit protocol (one for every writer — ingest, redrive and vacuum —
 and idempotent under task retry), an optimistic read → merge →
@@ -58,15 +63,16 @@ conditional commit → retry loop, like Delta Lake's log:
 2. commit, conditional on that version: under a short lock held only
    around the version check and the publish (the emulated conditional
    put), ``os.replace`` each staged file into place, write
-   ``manifest.json`` (atomic on POSIX), remove the unlisted snapshots;
-   a redrive's DLQ file moves only after the manifest
+   ``manifest.json`` (atomic on POSIX), then remove every file the new
+   manifest does not name
 3. if another writer committed first, the commit raises
    :class:`CommitConflictError` and removes the staged files; the writer
    re-reads and tries again
 
-A partition is committed iff its ``manifest.json`` exists; a crashed task
-leaves only tmp files (and, dying mid-commit, unlisted snapshots the next
-commit or :meth:`ManifestStore.sweep` removes). On resume, events with
+A partition is committed iff its ``manifest.json`` exists, and a commit
+lands iff its manifest is written: a writer dying before that leaves
+only tmp files and unlisted files, which no reader opens and the next
+commit or :meth:`ManifestStore.sweep` removes. On resume, events with
 ``lsn <= hwm_lsn`` are dropped before merging, so replaying any suffix (or
 the whole log) reproduces the identical table.
 
@@ -89,7 +95,7 @@ import json
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     'PartitionManifest', 'TableMeta', 'ManifestStore', 'CommitConflictError',
@@ -121,13 +127,16 @@ class PartitionManifest:
     partition_id: int
     hwm_lsn: int            # highest LSN applied into this partition
     rows: int               # LIVE rows in the merged (base ∪ deltas) view
-    bytes: int              # on-disk size of data.parquet + listed deltas
+    bytes: int              # on-disk size of the base + listed deltas
     sha256: str             # canonical-state digest (chained on delta commits)
     rejected_by_code: Dict[str, int] = field(default_factory=dict)
     events_applied: int = 0
     events_skipped: int = 0  # duplicates / below-watermark drops
-    # Active delta files (ordered, oldest first). THE authority: unlisted
-    # delta files are crash orphans and must be ignored by readers.
+    # The base file, base-<v>.parquet (v: the commit_version that wrote
+    # it); None before a partition's first rewrite and after one that
+    # left it empty.
+    base: Optional[str] = None
+    # Active delta files (ordered, oldest first).
     deltas: list = field(default_factory=list)
     # Negative (corrupt, unwatermarkable) LSNs whose rejections are
     # already folded into rejected_by_code — re-deliveries don't recount
@@ -148,6 +157,10 @@ class PartitionManifest:
     # conditional commit's token — a commit publishes only if the on-disk
     # value still equals the one its writer read.
     commit_version: int = 0
+    # The partition's DLQ files in _dlq/part=<p>/ (oldest first): each
+    # ingest commit with rejections appends one; a redrive leaves only
+    # its file of still-invalid rows.
+    dlq: list = field(default_factory=list)
 
 
 @dataclass
@@ -155,9 +168,10 @@ class TableMeta:
     num_partitions: int
     key_columns: tuple = ('repo', 'path')
     lsn_column: str = 'lsn'
-    # Lake layout: 2 keeps every commit snapshot in part=<p>/; 1 kept
-    # retained history apart, under part=<p>/history/.
-    version: int = 2
+    # Lake layout: 3 names every live file in the manifest; 2 named the
+    # base data.parquet and listed the DLQ directory; 1 kept retained
+    # history apart, under part=<p>/history/.
+    version: int = 3
     # Whether every commit retains its delta snapshot in history
     # (enables changes()/table_as_of()). Fixed at lake creation: a lake
     # that ever compacted without retention has holes no later flag flip
@@ -196,22 +210,18 @@ class ManifestStore:
     def partition_dir(self, pid: int) -> str:
         return os.path.join(self.root, f'part={pid}')
 
-    def data_path(self, pid: int) -> str:
-        return os.path.join(self.partition_dir(pid), 'data.parquet')
-
     def manifest_path(self, pid: int) -> str:
         return os.path.join(self.partition_dir(pid), 'manifest.json')
 
     def dlq_dir(self, pid: int) -> str:
         return os.path.join(self.root, '_dlq', f'part={pid}')
 
-    def dlq_files(self, pid: int) -> List[str]:
-        """The partition's DLQ file paths, sorted by name."""
-        d = self.dlq_dir(pid)
-        names = sorted(os.listdir(d)) if os.path.isdir(d) else []
-        return [os.path.join(d, n) for n in names if n.endswith('.parquet')]
+    def dlq_path(self, pid: int, name: str) -> str:
+        return os.path.join(self.dlq_dir(pid), name)
 
     def delta_path(self, pid: int, name: str) -> str:
+        """The path of a file of ``part=<p>/``: a delta, a history entry
+        or the base."""
         return os.path.join(self.partition_dir(pid), name)
 
     def read_manifest(self, pid: int) -> Optional[PartitionManifest]:
@@ -251,19 +261,13 @@ class ManifestStore:
         remove_data: bool = True,
         *,
         expected_version: int,
-        replace_dlq: bool = False,
     ) -> int:
         """Atomically publish a partition, conditional on its version; the
         only code that adds or removes any partition file. In one critical
         section it renames the ``staged`` files (``{final path: tmp
         path}``: base, commit snapshot, DLQ file) into place, writes the
-        manifest, and removes every snapshot file the new manifest no
-        longer lists. Returns the number of files removed.
-
-        ``remove_data=True`` (the full-state commit contract) with no base
-        staged removes a stale base — the partition became empty.
-        Delta/noop commits pass ``remove_data=False``: they don't carry
-        the full state, so an existing base must survive.
+        manifest, and removes every file the new manifest does not name
+        (:meth:`_remove_unlisted`). Returns the number of files removed.
 
         ``expected_version`` is the ``commit_version`` the writer read its
         state at (0 = no manifest existed). The commit publishes only if
@@ -272,15 +276,11 @@ class ManifestStore:
         files and leaves the partition untouched, and the writer re-reads,
         re-merges and retries.
 
-        ``replace_dlq`` (a redrive): the staged DLQ file, if any, becomes
-        the partition's whole DLQ — it is renamed into place after the
-        manifest is written, then every other DLQ file is removed. A
-        crash before the manifest leaves the old DLQ whole, and the next
-        redrive re-applies its rows idempotently."""
+        ``remove_data`` is accepted and ignored: the manifest's ``base``
+        alone says whether the partition has one, and a base it no longer
+        names is removed like any unlisted file."""
         pid = manifest.partition_id
         staged = staged or {}
-        dlq_dir = self.dlq_dir(pid)
-        swap = [f for f in staged if os.path.dirname(f) == dlq_dir] if replace_dlq else []
         os.makedirs(self.partition_dir(pid), exist_ok=True)
         with self._conditional_put(pid):
             current = self.read_manifest(pid)
@@ -292,34 +292,28 @@ class ManifestStore:
                 raise CommitConflictError(pid, expected_version, found)
             manifest.commit_version = found + 1
             for final, tmp in staged.items():
-                if final not in swap:
-                    os.replace(tmp, final)
-            if remove_data and self.data_path(pid) not in staged:
-                # Partition became empty (all rows deleted): remove stale data.
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(self.data_path(pid))
+                os.replace(tmp, final)
             _atomic_write_json(self.manifest_path(pid), asdict(manifest))
-            removed = 0
-            if replace_dlq:
-                for final in swap:
-                    os.replace(staged[final], final)
-                removed = _remove_parquet(dlq_dir, {os.path.basename(f) for f in swap})
-            return removed + self._remove_unlisted(manifest)
+            return self._remove_unlisted(manifest)
 
     def sweep(self, pid: int) -> int:
-        """Remove the snapshot files the committed manifest does not list
-        (debris of a writer that died mid-commit), under the commit lock.
-        Returns the number removed."""
+        """Remove the files the committed manifest does not name (debris of
+        a writer that died mid-commit), under the commit lock. Returns the
+        number removed."""
         with self._conditional_put(pid):
             manifest = self.read_manifest(pid)
             return self._remove_unlisted(manifest) if manifest else 0
 
     def _remove_unlisted(self, manifest: PartitionManifest) -> int:
-        """The liveness rule: a ``delta-*.parquet`` file in ``part=<p>/``
-        lives iff ``manifest`` lists it in ``deltas`` or ``history``."""
-        return _remove_parquet(self.partition_dir(manifest.partition_id),
-                               set(manifest.deltas).union(manifest.history),
-                               prefix='delta-')
+        """The liveness rule, the lake's only removal: a ``*.parquet``
+        file in ``part=<p>/`` lives iff ``manifest`` names it as its
+        ``base``, a delta or a history entry, and one in ``_dlq/part=<p>/``
+        iff it lists it in ``dlq``. Tmp files end in ``.tmp-<nonce>`` and
+        are never touched."""
+        pid = manifest.partition_id
+        live = {manifest.base, *manifest.deltas, *manifest.history}
+        return (_remove_parquet(self.partition_dir(pid), live)
+                + _remove_parquet(self.dlq_dir(pid), set(manifest.dlq)))
 
     def tmp_path(self, pid: int, kind: str = 'data') -> str:
         os.makedirs(self.partition_dir(pid), exist_ok=True)
@@ -355,12 +349,11 @@ def _flock(directory: str, name: str):
         os.close(fd)
 
 
-def _remove_parquet(directory: str, keep: set, prefix: str = '') -> int:
-    """Remove every ``<prefix>*.parquet`` file in ``directory`` whose name
-    is not in ``keep``; returns the number removed."""
+def _remove_parquet(directory: str, keep: set) -> int:
+    """Remove every ``*.parquet`` file in ``directory`` whose name is not
+    in ``keep``; returns the number removed."""
     names = os.listdir(directory) if os.path.isdir(directory) else []
-    dead = [n for n in names
-            if n.startswith(prefix) and n.endswith('.parquet') and n not in keep]
+    dead = [n for n in names if n.endswith('.parquet') and n not in keep]
     for name in dead:
         os.remove(os.path.join(directory, name))
     return len(dead)

@@ -42,22 +42,21 @@ def test_micro_batch_writes_delta_not_base(tmp_path):
     pipeline.run(rd.from_arrow(chunks[0]))  # bootstrap: base only
     base_stats = {}
     for pid in range(4):
-        p = pipeline.store.data_path(pid)
-        if os.path.exists(p):
-            st = os.stat(p)
-            base_stats[pid] = (st.st_mtime_ns, st.st_size)
         m = pipeline.store.read_manifest(pid)
+        if m is not None and m.base:
+            st = os.stat(pipeline.store.delta_path(pid, m.base))
+            base_stats[pid] = (m.base, st.st_mtime_ns, st.st_size)
         assert m is None or m.deltas == []
 
     pipeline.run(rd.from_arrow(chunks[1]))
     pipeline.run(rd.from_arrow(chunks[2]))
 
     touched_any_delta = False
-    for pid, (mtime, size) in base_stats.items():
-        st = os.stat(pipeline.store.data_path(pid))
-        # Micro-batches appended deltas; the base bytes never moved.
-        assert (st.st_mtime_ns, st.st_size) == (mtime, size)
+    for pid, (base, mtime, size) in base_stats.items():
         m = pipeline.store.read_manifest(pid)
+        st = os.stat(pipeline.store.delta_path(pid, m.base))
+        # Micro-batches appended deltas; the base bytes never moved.
+        assert (m.base, st.st_mtime_ns, st.st_size) == (base, mtime, size)
         if m.deltas:
             touched_any_delta = True
             for name in m.deltas:
@@ -130,7 +129,7 @@ def test_first_commit_shape_and_compaction_cadence(tmp_path, retain_history):
         shapes = set()
         for pid, m in manifests.items():
             assert m.commit_version == i  # every commit touches every partition
-            has_base = os.path.exists(pipeline.store.data_path(pid))
+            has_base = m.base is not None
             assert len(m.deltas) + has_base <= k
             shapes.add((has_base, len(m.deltas)))
             if i == 1 and retain_history:
@@ -300,6 +299,9 @@ def test_lake_report_totals(tmp_path):
     run = pipeline.run(rd.from_arrow(log))
     report = pipeline.lake_report()
     assert report['lake_rows'] == run.lake_rows
+    dlq_on_disk = [f for _, _, files in os.walk(os.path.join(pipeline.lake_root, '_dlq'))
+                   for f in files if f.endswith('.parquet')]
+    assert report['dlq_files'] == len(dlq_on_disk) > 0
     assert report['events_applied'] == run.events_applied
     assert report['rejected_by_code'] == pipeline.rejection_counts()
     assert report['committed'] <= report['partitions'] == 4

@@ -45,9 +45,8 @@ def test_manifest_bytes_are_on_disk_bytes(tmp_path):
     def check(pipeline, step):
         store = pipeline.store
         for pid, m in store.all_manifests().items():
-            files = [store.delta_path(pid, name) for name in m.deltas]
-            if os.path.exists(store.data_path(pid)):
-                files.append(store.data_path(pid))
+            names = m.deltas + ([m.base] if m.base else [])
+            files = [store.delta_path(pid, name) for name in names]
             assert m.bytes == sum(os.path.getsize(f) for f in files), (
                 f'partition {pid} after {step}')
         steps.append(step)
@@ -62,11 +61,11 @@ def _file_kind(pipeline, path: str) -> str:
     delta (with retention a delta is also a history entry)."""
     if os.sep + '_dlq' + os.sep in path:
         return 'dlq'
-    if path.endswith('data.parquet'):
-        return 'base'
     pid = int(os.path.basename(os.path.dirname(path)).split('=')[1])
     m = pipeline.store.read_manifest(pid)
     name = os.path.basename(path)
+    if name == m.base:
+        return 'base'
     if name in m.deltas:
         return 'delta'
     assert name in m.history, path

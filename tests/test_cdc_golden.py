@@ -29,13 +29,14 @@ STEPS = ('run', 'run (delta)', 'run (compaction)', 'replay_dlq', 'vacuum_history
 
 def golden_state(pipeline: CDCPipeline) -> dict:
     """Per partition: the pinned manifest fields plus the sorted DLQ
-    file names."""
+    file names, which must be the files the manifest lists."""
     out = {}
     for pid, m in sorted(pipeline.store.all_manifests().items()):
         state = {k: getattr(m, k) for k in PINNED}
         dlq_dir = os.path.join(pipeline.lake_root, '_dlq', f'part={pid}')
         state['dlq_files'] = (
             sorted(os.listdir(dlq_dir)) if os.path.isdir(dlq_dir) else [])
+        assert sorted(m.dlq) == state['dlq_files'], pid
         out[str(pid)] = state
     return out
 
@@ -88,8 +89,8 @@ def test_golden_manifests(tmp_path):
 @pytest.mark.usefixtures('ray_session')
 def test_snapshot_file_exists_iff_listed(tmp_path):
     """The lake's one liveness rule, after every step: a partition's
-    ``delta-*.parquet`` files are exactly its manifest's ``deltas`` ∪
-    ``history``, all in ``part=<p>/`` (no ``history/`` directory), and
+    ``*.parquet`` files are exactly its manifest's ``base`` ∪ ``deltas``
+    ∪ ``history``, all in ``part=<p>/`` (no ``history/`` directory), and
     no tmp file outlives its commit."""
     lake = str(tmp_path / 'lake')
     steps = []
@@ -97,11 +98,9 @@ def test_snapshot_file_exists_iff_listed(tmp_path):
     def check(pipeline, step):
         for pid, m in pipeline.store.all_manifests().items():
             part_dir = pipeline.store.partition_dir(pid)
-            on_disk = {
-                f for f in os.listdir(part_dir)
-                if f.startswith('delta-') and f.endswith('.parquet')
-            }
-            assert on_disk == set(m.deltas) | set(m.history), (step, pid)
+            on_disk = {f for f in os.listdir(part_dir) if f.endswith('.parquet')}
+            named = set(m.deltas) | set(m.history) | ({m.base} if m.base else set())
+            assert on_disk == named, (step, pid)
             assert not os.path.exists(os.path.join(part_dir, 'history')), step
         tmp = [f for _, _, files in os.walk(lake) for f in files if '.tmp-' in f]
         assert not tmp, (step, tmp)

@@ -33,8 +33,9 @@ def test_lost_partition_rebuilt_by_replay(tmp_path):
     # Simulate a crashed partition: wipe its data + manifest + DLQ (as if
     # the task died before its atomic commits).
     victim = 3
-    if os.path.exists(pipeline.store.data_path(victim)):
-        os.remove(pipeline.store.data_path(victim))
+    lost = pipeline.store.read_manifest(victim)
+    if lost is not None and lost.base:
+        os.remove(pipeline.store.delta_path(victim, lost.base))
     if os.path.exists(pipeline.store.manifest_path(victim)):
         os.remove(pipeline.store.manifest_path(victim))
     shutil.rmtree(pipeline.store.dlq_dir(victim),
@@ -358,3 +359,139 @@ def test_vacuum_concurrent_with_live_ingest(tmp_path):
     if floor >= 0:
         with pytest.raises(ValueError):
             pipeline.table_as_of(floor - 1)
+
+
+class _Crash(Exception):
+    """An injected writer death (not an error any commit loop retries)."""
+
+
+def _crash_log():
+    """30 events over 12 keys of one partition, cut by lsn into three
+    commits of 10: every key is written two or three times, lsn 25
+    deletes one, every seventh event has a lang the default chain rejects
+    (a redrive with 'klingon' legal applies it), and lsn 20 has an empty
+    repo, so it stays dead."""
+    import pyarrow as pa
+
+    return pa.Table.from_pylist([
+        {'lsn': lsn, 'op': 'delete' if lsn == 25 else 'insert' if lsn < 12 else 'update',
+         'repo': '' if lsn == 20 else 'org/r', 'path': f'f{lsn % 12}',
+         'commit': 'a' * 40, 'lang': 'klingon' if lsn % 7 == 0 else 'py',
+         'content': f'body {lsn}'}
+        for lsn in range(30)])
+
+
+# Per writer: the commits that build the lake before it (lsn batches of
+# _crash_log), and the commits its oracle covers.
+_CRASH_WRITERS = {
+    'delta': ((0,), (0, 1)),          # ingest of batch 1: a delta with a DLQ row
+    'compaction': ((0, 1), (0, 1, 2)),  # ingest of batch 2: the third file compacts
+    'redrive': ((0, 1, 2), (0, 1, 2)),
+    'vacuum': ((0, 1, 2), (0, 1, 2)),
+}
+
+
+def _crash_lake(root: str, writer: str, monkeypatch):
+    """A one-partition retained-history lake (compact_every=2) with the
+    writer's setup committed, and the writer's call, run in-process."""
+    import ray
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+
+    from test_dlq_redrive import redrive_in_process
+
+    log = _crash_log()
+    pipeline = CDCPipeline(root, num_partitions=1, compact_every=2,
+                           retain_history=True)
+    upsert = make_upsert_fn(root, compact_every=2, retain_history=True)
+    validate = CDCValidateStage(num_partitions=1)
+
+    def ingest(i: int):
+        return upsert(validate(log.slice(10 * i, 10)))
+
+    for i in _CRASH_WRITERS[writer][0]:
+        ingest(i)
+
+    def call():
+        if writer == 'delta':
+            return ingest(1)
+        if writer == 'compaction':
+            return ingest(2)
+        if writer == 'redrive':
+            return redrive_in_process(pipeline, monkeypatch)
+        with monkeypatch.context() as m:  # vacuum's per-partition commits inline
+            m.setattr(ray, 'is_initialized', lambda: False)
+            return pipeline.vacuum_history(20)
+
+    return pipeline, call
+
+
+def _lake_state(pipeline) -> dict:
+    """What readers see: the live table, the rejection counts, the rows
+    of the manifest-listed DLQ and the change feed from the vacuum floor."""
+    floor = max(m.history_floor_lsn for m in pipeline.store.all_manifests().values())
+    return {
+        'table': pipeline.final_table().to_pylist(),
+        'rejections': pipeline.rejection_counts(),
+        'dlq': sorted(pipeline.dlq_dataset().take_all(), key=lambda r: r['lsn']),
+        'changes': pipeline.changes(since_lsn=floor).to_pylist(),
+    }
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('point', ['staged', 'renamed', 'published'])
+@pytest.mark.parametrize('writer', sorted(_CRASH_WRITERS))
+def test_crash_point_matrix(tmp_path, monkeypatch, writer, point):
+    """Every writer dies at every step of its commit: (staged) before the
+    commit lock, (renamed) after the renames and before ``manifest.json``,
+    (published) after ``manifest.json`` and before unlisted files go.
+    Readers then see the last committed state: the old one until the
+    manifest is written, the new one after. Re-running the call and a
+    sweep converge to the oracle and leave only manifest-named files."""
+    from filters_ray.sources.synth import LANGS
+    from filters_ray.state import manifest
+    from filters_ray.state.manifest import ManifestStore
+
+    reference, call = _crash_lake(str(tmp_path / 'reference'), writer, monkeypatch)
+    call()
+    committed = _lake_state(reference)
+    pipeline, call = _crash_lake(str(tmp_path / 'lake'), writer, monkeypatch)
+    before = _lake_state(pipeline)
+    assert committed != before
+
+    def die(*args, **kwargs):
+        raise _Crash(point)
+
+    real_write = manifest._atomic_write_json
+
+    def die_at_manifest(path, payload):
+        if path.endswith('manifest.json'):
+            raise _Crash(point)
+        return real_write(path, payload)
+
+    with monkeypatch.context() as m:
+        if point == 'staged':
+            m.setattr(ManifestStore, '_conditional_put', die)
+        elif point == 'renamed':
+            m.setattr(manifest, '_atomic_write_json', die_at_manifest)
+        else:
+            m.setattr(ManifestStore, '_remove_unlisted', die)
+        with pytest.raises(_Crash):
+            call()
+    assert _lake_state(pipeline) == (committed if point == 'published' else before)
+
+    call()
+    pipeline.store.sweep(0)
+    assert _lake_state(pipeline) == committed
+    log = _crash_log()
+    events = [row for i in _CRASH_WRITERS[writer][1]
+              for row in log.slice(10 * i, 10).to_pylist()]
+    oracle = replay_oracle(
+        events, langs=list(LANGS) + ['klingon'] if writer == 'redrive' else None)
+    assert final_state_digests(pipeline.final_table()) == oracle.sha256_by_key()
+    assert pipeline.rejection_counts() == oracle.rejected_by_code
+    m = pipeline.store.read_manifest(0)
+    for directory, named in (
+            (pipeline.store.partition_dir(0), {m.base, *m.deltas, *m.history} - {None}),
+            (pipeline.store.dlq_dir(0), set(m.dlq))):
+        assert {f for f in os.listdir(directory) if f.endswith('.parquet')} == named

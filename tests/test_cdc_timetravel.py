@@ -82,24 +82,23 @@ def test_compaction_happened_and_history_retained(history_lake):
 
 
 def test_layout_version_1_lake_with_history_refuses(tmp_path):
-    """Layout version 1 kept retained history under part=<p>/history/;
-    opening such a lake must fail loudly rather than read a feed with
-    every pre-upgrade commit missing. A version-1 lake without retention
-    has the same layout as version 2 and opens as before."""
+    """Every lake older than layout version 3 refuses to open, rather
+    than show an empty lake: version 1 kept retained history under
+    part=<p>/history/, and the manifests of versions 1 and 2 name
+    neither the base (data.parquet) nor the DLQ files."""
     from filters_ray.state.manifest import ManifestStore, TableMeta
 
-    old = ManifestStore(str(tmp_path / 'v1-history'))
-    old.write_meta(TableMeta(num_partitions=2, version=1, retain_history=True))
-    with pytest.raises(ValueError, match='layout'):
-        CDCPipeline(old.root)
-
-    plain = ManifestStore(str(tmp_path / 'v1-plain'))
-    plain.write_meta(TableMeta(num_partitions=2, version=1))
-    assert CDCPipeline(plain.root).num_partitions == 2
-    assert plain.read_meta().version == 1
-    fresh = CDCPipeline(str(tmp_path / 'v2'), num_partitions=2,
+    for version in (1, 2):
+        for retain_history in (False, True):
+            old = ManifestStore(str(tmp_path / f'v{version}-{retain_history}'))
+            old.write_meta(TableMeta(num_partitions=2, version=version,
+                                     retain_history=retain_history))
+            with pytest.raises(ValueError, match='layout-version-'):
+                CDCPipeline(old.root)
+            assert old.read_meta().version == version
+    fresh = CDCPipeline(str(tmp_path / 'v3'), num_partitions=2,
                         retain_history=True)
-    assert fresh.store.read_meta().version == 2
+    assert fresh.store.read_meta().version == 3
 
 
 def test_full_feed_lww_reproduces_live_table(history_lake):

@@ -102,9 +102,10 @@ def test_redrive_never_overrides_newer_writer(tmp_path):
 
 @pytest.mark.usefixtures('ray_session')
 def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
-    """ADVICE r1: a crash AFTER the manifest commit but BEFORE the DLQ
-    file swap must lose no dead-letter rows — the old DLQ stays intact,
-    and re-running the redrive converges to the correct state."""
+    """ADVICE r1: a crash at the DLQ rename (after the new base's rename,
+    before the manifest is written) must lose no dead-letter rows — the
+    redrive did not land, the old DLQ stays intact, and re-running the
+    redrive converges to the correct state."""
     import os
 
     import ray.data as rd
@@ -126,7 +127,7 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
     def crash_on_dlq_swap(src, dst, *a, **k):
         if 'dlq-' in os.path.basename(str(dst)):
-            raise OSError('injected crash before DLQ swap')
+            raise OSError('injected crash at the DLQ rename')
         return real_replace(src, dst, *a, **k)
 
     monkeypatch.setattr(os, 'replace', crash_on_dlq_swap)
@@ -134,17 +135,19 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
         redrive_in_process(pipeline, monkeypatch)
     monkeypatch.setattr(os, 'replace', real_replace)
 
-    # Crash window: manifest/lake already carry the redriven rows, but
-    # every pre-crash DLQ file is still on disk — nothing was lost.
+    # Crash window: no manifest was written, so the lake keeps its
+    # pre-redrive rows and every pre-crash DLQ file is still on disk and
+    # listed — nothing was lost.
     files_mid = sorted(
         f for f in os.listdir(dlq_dir) if f.endswith('.parquet')
     )
-    assert set(files_before) <= set(files_mid)
-    assert pipeline.final_table().num_rows == 30
+    assert files_mid == files_before
+    assert sorted(pipeline.store.read_manifest(0).dlq) == files_before
+    assert pipeline.final_table().num_rows == 20
+    assert pipeline.rejection_counts() == {'not_valid_choice': 10, 'empty': 1}
 
     # Recovery: re-run the redrive through the normal pipeline path. The
-    # pre-crash DLQ still holds the redriven rows, so they re-apply —
-    # and the LWW merge makes that idempotent (state unchanged).
+    # pre-crash DLQ still holds the redriven rows, so they apply now.
     redo = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
     assert redo.events_applied == 10
     assert pipeline.final_table().num_rows == 30
@@ -154,8 +157,9 @@ def test_redrive_crash_between_commit_and_dlq_swap(tmp_path, monkeypatch):
 
 @pytest.mark.usefixtures('ray_session')
 def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
-    """A redrive's replacement DLQ file moves only after the manifest is
-    written: a crash before that must leave the DLQ exactly as it was."""
+    """A redrive lands only with its manifest: a crash before that must
+    leave the DLQ the manifest lists exactly as it was. The replacement
+    DLQ file the crashed commit renamed is on disk, but unlisted."""
     import os
 
     import ray.data as rd
@@ -187,8 +191,9 @@ def test_redrive_crash_before_manifest_keeps_dlq(tmp_path, monkeypatch):
         redrive_in_process(pipeline, monkeypatch)
     monkeypatch.undo()
 
-    assert os.listdir(dlq_dir) == ['dlq-0-10-1.parquet']
+    assert pipeline.store.read_manifest(0).dlq == ['dlq-0-10-1.parquet']
     assert open(os.path.join(dlq_dir, 'dlq-0-10-1.parquet'), 'rb').read() == before
+    assert pipeline.dlq_dataset().count() == 11
     assert pipeline.rejection_counts() == {'not_valid_choice': 9, 'empty': 2}
 
     redo = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
@@ -343,9 +348,11 @@ def test_redrive_skips_dlq_rows_above_the_watermark(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert os.listdir(pipeline.store.dlq_dir(0)) == ['dlq-16-16-2.parquet']
     assert pipeline.store.high_watermark(0) == 9
+    # The file is crash debris: no manifest lists it, so no reader sees it.
+    assert pipeline.dlq_dataset().count() == 0
 
     redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
-    assert (redrive.events_applied, redrive.events_skipped) == (0, 1)
+    assert (redrive.events_applied, redrive.events_skipped) == (0, 0)
     assert pipeline.store.high_watermark(0) == 9
     assert pipeline.dlq_dataset().count() == 0
 
@@ -459,7 +466,8 @@ def test_redrive_keeps_input_types(tmp_path, case):
     log, applied, counts, path, expect, footer = _TYPED_CASES[case]
     pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
     pipeline.run(rd.from_arrow(log))
-    (dlq_file,) = pipeline.store.dlq_files(0)
+    (dlq_name,) = pipeline.store.read_manifest(0).dlq
+    dlq_file = pipeline.store.dlq_path(0, dlq_name)
     assert (b'ARROW:schema' in (pq.read_metadata(dlq_file).metadata or {})) == footer
     dlq = pipeline.dlq_dataset()
     assert dlq.schema().base_schema == log.schema

@@ -44,25 +44,28 @@ def test_commit_is_atomic_data_then_manifest(tmp_path):
                       'last_lsn': [1]})
     tmp = store.tmp_path(0)
     pq.write_table(table, tmp)
+    base = store.delta_path(0, 'base-1.parquet')
     store.commit_partition(
-        PartitionManifest(partition_id=0, hwm_lsn=1, rows=1, bytes=10, sha256='d'),
-        {store.data_path(0): tmp}, expected_version=0,
+        PartitionManifest(partition_id=0, hwm_lsn=1, rows=1, bytes=10, sha256='d',
+                          base='base-1.parquet'),
+        {base: tmp}, expected_version=0,
     )
-    assert os.path.exists(store.data_path(0))
+    assert store.read_manifest(0).base == 'base-1.parquet'
     assert not os.path.exists(tmp)
-    assert pq.read_table(store.data_path(0)).num_rows == 1
+    assert pq.read_table(base).num_rows == 1
 
-    # Empty commit removes stale data.
+    # Empty commit removes stale data: the manifest no longer names it.
     store.commit_partition(
         PartitionManifest(partition_id=0, hwm_lsn=2, rows=0, bytes=0, sha256='e'),
         None, expected_version=1,
     )
-    assert not os.path.exists(store.data_path(0))
+    assert store.read_manifest(0).base is None
+    assert not os.path.exists(base)
 
 
-def _m(pid: int, hwm: int, sha: str) -> PartitionManifest:
+def _m(pid: int, hwm: int, sha: str, **fields) -> PartitionManifest:
     return PartitionManifest(
-        partition_id=pid, hwm_lsn=hwm, rows=1, bytes=1, sha256=sha,
+        partition_id=pid, hwm_lsn=hwm, rows=1, bytes=1, sha256=sha, **fields,
     )
 
 
@@ -74,20 +77,19 @@ def test_cas_commit_conflict_detected(tmp_path):
     store.write_meta(TableMeta(num_partitions=4))
 
     # Bootstrap: no manifest on disk => expected_version 0.
-    store.commit_partition(_m(0, 10, 'base'), None, remove_data=False,
-                           expected_version=0)
+    store.commit_partition(_m(0, 10, 'base'), None, expected_version=0)
     assert store.read_manifest(0).commit_version == 1
 
     # Writer A snapshots version 1; writer B commits first (1 -> 2).
     a_version = store.read_manifest(0).commit_version
-    store.commit_partition(_m(0, 20, 'writer-b'), None, remove_data=False,
+    store.commit_partition(_m(0, 20, 'writer-b'), None,
                            expected_version=a_version)
     assert store.read_manifest(0).commit_version == 2
 
     # A's commit, keyed on the stale snapshot, loses the race loudly.
     with pytest.raises(CommitConflictError) as exc_info:
         store.commit_partition(_m(0, 15, 'writer-a'), None,
-                               remove_data=False, expected_version=a_version)
+                               expected_version=a_version)
     assert exc_info.value.expected == 1
     assert exc_info.value.found == 2
     # B's state survived untouched.
@@ -98,7 +100,6 @@ def test_cas_commit_conflict_detected(tmp_path):
     # and its conditional commit now lands.
     fresh = store.read_manifest(0)
     store.commit_partition(_m(0, max(fresh.hwm_lsn, 15), 'writer-a2'), None,
-                           remove_data=False,
                            expected_version=fresh.commit_version)
     after = store.read_manifest(0)
     assert after.commit_version == 3
@@ -117,7 +118,8 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
                        'last_lsn': [2]})
     tmp = store.tmp_path(0)
     pq.write_table(winner, tmp)
-    store.commit_partition(_m(0, 2, 'w'), {store.data_path(0): tmp},
+    base = store.delta_path(0, 'base-1.parquet')
+    store.commit_partition(_m(0, 2, 'w', base='base-1.parquet'), {base: tmp},
                            expected_version=0)
 
     loser = pa.table({'repo': ['r'], 'path': ['p'], 'content': ['l'],
@@ -125,10 +127,10 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
     tmp2 = store.tmp_path(0)
     pq.write_table(loser, tmp2)
     with pytest.raises(CommitConflictError):
-        store.commit_partition(_m(0, 1, 'l'), {store.data_path(0): tmp2},
+        store.commit_partition(_m(0, 1, 'l', base='base-1.parquet'), {base: tmp2},
                                expected_version=0)
     assert not os.path.exists(tmp2)
-    got = pq.read_table(store.data_path(0))
+    got = pq.read_table(store.delta_path(0, store.read_manifest(0).base))
     assert got.column('content').to_pylist() == ['w']
 
 
