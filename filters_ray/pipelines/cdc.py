@@ -4,7 +4,7 @@ The north-star pipeline (BASELINE.json ``north_star``) has two shapes
 with one commit path. An input larger than one validate batch, or whose
 size is unknown before it runs, takes the Ray Data plan:
 
-    read_parquet(events)                               # ordered change log
+    _read_widened(files) or a lazy Dataset             # ordered change log
       → map_batches(ValidateStage, pyarrow, zero-copy)  # compiled chains
           # + _part (hash of raw (repo,path) % P) + _raw_lsn columns
       → groupby('_part').map_groups(upsert_partition)   # THE one shuffle
@@ -368,13 +368,6 @@ _MERGE_KEY_COLUMNS = ('repo', 'path', 'last_lsn', 'op')
 _COMMIT_MAX_ATTEMPTS = 16
 
 
-def _ensure_op(table: pa.Table) -> pa.Table:
-    """Rows without an op column act as op=NULL records (base semantics)."""
-    if 'op' not in table.column_names:
-        return table.append_column('op', pa.nulls(table.num_rows, type=pa.string()))
-    return table
-
-
 def _drop_tombstones(latest: pa.Table) -> pa.Table:
     """Filter deleted keys out of an LWW result (order-preserving)."""
     return latest.filter(
@@ -395,27 +388,40 @@ def _concat_widened(tables: List[pa.Table]) -> pa.Table:
     return pa.concat_tables([align_table(t, schema) for t in tables])
 
 
-def _widened_schema(paths: List[str], drop: Iterable[str] = ()) -> pa.Schema:
-    """The schema of parquet files whose schemas differ additively, widened
-    across them, with the ``drop`` columns pruned. First-fragment schema
-    inference can drop later-added columns (ADVICE r3), so readers pass
-    this schema explicitly and null-fill the columns a file lacks."""
+def _widened_schema(paths: List[str], columns: Optional[Iterable[str]] = None,
+                    drop: Iterable[str] = ()) -> pa.Schema:
+    """The lake's one read rule: the schema of parquet files whose schemas
+    differ additively, widened across them, pruned to the requested
+    ``columns`` that some file has (in request order), minus ``drop``.
+    First-fragment schema inference can drop later-added columns (ADVICE
+    r3), so both readers, :func:`_read_files` and :func:`_read_widened`,
+    pass this schema explicitly and null-fill the columns a file lacks."""
     schema = None
     for p in paths:
         s = pq.read_schema(p).remove_metadata()
         schema = s if schema is None else widen_schema(schema, s)[0]
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns if c in schema.names])
     for name in drop:
         schema = schema.remove(schema.get_field_index(name))
     return schema
 
 
-def _read_widened(paths: List[str], drop: Iterable[str] = ()):
-    """``read_parquet`` over files under :func:`_widened_schema`. The
-    ``part=<p>`` directories are not hive partitions: no ``part`` column
-    is derived from the path."""
+def _read_files(paths: List[str], columns: Optional[Iterable[str]] = None,
+                drop: Iterable[str] = ()) -> pa.Table:
+    """Read parquet files as one table, rows in file order, under
+    :func:`_widened_schema`. The ``part=<p>`` directories are not hive
+    partitions: no ``part`` column is derived from the path."""
+    return pq.read_table(paths, schema=_widened_schema(paths, columns, drop),
+                         partitioning=None)
+
+
+def _read_widened(paths: List[str], columns: Optional[Iterable[str]] = None,
+                  drop: Iterable[str] = ()):
+    """:func:`_read_files` as a streaming ``ray.data.Dataset``."""
     import ray.data as rd
 
-    return rd.read_parquet(paths, schema=_widened_schema(paths, drop),
+    return rd.read_parquet(paths, schema=_widened_schema(paths, columns, drop),
                            partitioning=None)
 
 
@@ -428,8 +434,7 @@ def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
     (unique-keyed) rows in canonical (repo, path) order, so no second
     sort is needed. Idempotent: re-merging already-merged rows yields
     the identical table (crash-retry safety)."""
-    both = _concat_widened([_ensure_op(t) for t in tables])
-    return _drop_tombstones(_last_writer_wins(both))
+    return _drop_tombstones(_last_writer_wins(_concat_widened(tables)))
 
 
 def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]:
@@ -447,77 +452,43 @@ def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]
 def _read_partition_tables(
     store: ManifestStore, pid: int, manifest, columns=None,
 ) -> List[pa.Table]:
-    """Read the partition's base + listed deltas, optionally pruned to
-    ``columns`` (each file keeps only the columns it actually has)."""
-    tables = []
-    for path in _partition_file_paths(store, pid, manifest):
-        if columns is None:
-            tables.append(pq.read_table(path))
-        else:
-            have = set(pq.read_schema(path).names)
-            tables.append(pq.read_table(path, columns=[c for c in columns if c in have]))
-    return tables
+    """The partition's base + listed deltas as one table (none for a
+    partition without files), optionally pruned to ``columns``."""
+    paths = _partition_file_paths(store, pid, manifest)
+    return [_read_files(paths, columns)] if paths else []
 
 
 def _last_writer_wins(table: pa.Table) -> pa.Table:
     """Keep the last row per (repo, path) — max last_lsn, last delivery
     on ties — output in canonical (repo, path) order.
 
-    Fast path (the upsert's CPU hot spot — VERDICT r2 #1, per-row memory
-    traffic): EXACT integer group keys via ``dictionary_encode`` (C hash
-    tables over the Arrow string buffers — no Python objects), one
-    integer ``np.lexsort`` to find each key's winner, then a ``take`` +
-    string sort over the SURVIVORS ONLY. The full batch's payload
-    columns (content/commit/...) are never gathered or string-sorted —
-    only ~state-size rows are. Semantics are identical to the exact
-    sort-based path (differential-tested), which remains the fallback
-    for null/exotic key or lsn columns.
+    The upsert's CPU hot spot (VERDICT r2 #1, per-row memory traffic):
+    EXACT integer group keys via ``dictionary_encode`` (C hash tables over
+    the Arrow string buffers — no Python objects), one integer
+    ``np.lexsort`` to find each key's winner, then a ``take`` + string
+    sort over the SURVIVORS ONLY. The full batch's payload columns
+    (content/commit/...) are never gathered or string-sorted — only
+    ~state-size rows are. Every input is validated rows or lake files, so
+    ``repo`` and ``path`` are non-null strings and ``last_lsn`` a non-null
+    integer; the int32 dictionary indices pack into one int64 key.
     """
     if table.num_rows == 0:
         return table
-    n = table.num_rows
-    repo = table.column('repo').combine_chunks()
-    path = table.column('path').combine_chunks()
-    lsn = table.column('last_lsn').combine_chunks()
-    if (
-        repo.null_count or path.null_count or lsn.null_count
-        or not (pa.types.is_string(repo.type) or pa.types.is_large_string(repo.type))
-        or not (pa.types.is_string(path.type) or pa.types.is_large_string(path.type))
-        or not pa.types.is_integer(lsn.type)
-    ):
-        return _last_writer_wins_sorted(table)
-    repo_idx = pc.dictionary_encode(repo).indices.to_numpy().astype(np.int64)
-    path_idx = pc.dictionary_encode(path).indices.to_numpy().astype(np.int64)
-    if path_idx.size and (
-        path_idx.max() >= (1 << 32) or repo_idx.max() >= (1 << 31)
-    ):  # pragma: no cover — >4B distinct paths / >2B repos in ONE group
-        return _last_writer_wins_sorted(table)
+    repo_idx, path_idx = (
+        pc.dictionary_encode(table.column(name).combine_chunks())
+        .indices.to_numpy().astype(np.int64)
+        for name in ('repo', 'path'))
     combined = (repo_idx << np.int64(32)) | path_idx  # exact key id
     lsn_np = np.asarray(
-        lsn.cast(pa.int64()).to_numpy(zero_copy_only=False), dtype=np.int64,
+        table.column('last_lsn').combine_chunks().cast(pa.int64())
+        .to_numpy(zero_copy_only=False), dtype=np.int64,
     )
     order = np.lexsort((lsn_np, combined))
     gs = combined[order]
     run_ends = np.flatnonzero(gs[1:] != gs[:-1])
-    winners = order[np.concatenate([run_ends, [n - 1]])]
+    winners = order[np.concatenate([run_ends, [table.num_rows - 1]])]
     out = table.take(pa.array(winners, type=pa.int64()))
     return out.sort_by([('repo', 'ascending'), ('path', 'ascending')])
-
-
-def _last_writer_wins_sorted(table: pa.Table) -> pa.Table:
-    """Exact fallback: full (repo, path, last_lsn) sort, keep last per key."""
-    if table.num_rows == 0:
-        return table
-    table = table.sort_by([
-        ('repo', 'ascending'), ('path', 'ascending'), ('last_lsn', 'ascending'),
-    ])
-    repo = np.asarray(table.column('repo').to_numpy(zero_copy_only=False), dtype=object)
-    path = np.asarray(table.column('path').to_numpy(zero_copy_only=False), dtype=object)
-    n = len(repo)
-    is_last = np.ones(n, dtype=bool)
-    same_as_next = (repo[:-1] == repo[1:]) & (path[:-1] == path[1:])
-    is_last[:-1] = ~same_as_next
-    return table.filter(pa.array(is_last))
 
 
 def _parse_delta_range(name: str) -> Optional[tuple]:
@@ -531,10 +502,13 @@ def _parse_delta_range(name: str) -> Optional[tuple]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
-    """Write ``table`` to a unique tmp file in the partition directory and
-    return its path — the lake's one parquet writer. Nothing here renames:
-    :meth:`ManifestStore.commit_partition` publishes the tmp file.
+def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str,
+           final: str, staged: Dict[str, str]) -> str:
+    """Write ``table`` to a unique tmp file in the partition directory,
+    record it as ``staged[final]`` before writing a byte, and return its
+    path — the lake's one parquet writer. Nothing here renames:
+    :meth:`ManifestStore.commit_partition` publishes the tmp file, and
+    :func:`_commit_optimistically` removes it when the attempt fails.
 
     Every lake file is zstd at its default level, and each column gets the
     encoding that fits its data, by three fixed rules:
@@ -577,7 +551,7 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str) -> str:
             dictionary.append(f.name)
         else:
             split[f.name] = 'DELTA_LENGTH_BYTE_ARRAY'
-    tmp = store.tmp_path(pid, kind=kind)
+    tmp = staged[final] = store.tmp_path(pid, kind=kind)
     footer = _needs_arrow_schema(table.schema.serialize().to_pybytes())
     pq.write_table(table, tmp, compression='zstd', use_dictionary=dictionary,
                    column_encoding=split, write_statistics=False,
@@ -624,21 +598,22 @@ def _admit(group: pa.Table, hwm: int, redrive: bool) -> pa.Table:
 
 
 def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
-               version: int) -> Dict[str, str]:
+               version: int, staged: Dict[str, str]) -> List[str]:
     """Step 3: one DLQ file per commit, ``dlq-<lo>-<hi>-<version>.parquet``
     (the lsn range, 0 for an all-null one, and the ``commit_version`` the
     commit stamps, so no two commits share a name), holding the rejected
     events' own typed columns plus ``_errors`` (the raw lsn is not stored:
-    validating the file's ``lsn`` derives it again). Returns it staged,
-    ``{final path: tmp path}``; empty when nothing was rejected."""
+    validating the file's ``lsn`` derives it again). Stages it into
+    ``staged`` and returns its name; none when nothing was rejected."""
     if not dlq.num_rows:
-        return {}
+        return []
     bounds = pc.min_max(dlq.column(RAW_LSN_COLUMN))
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
-    final = store.dlq_path(pid, f'dlq-{lo}-{hi}-{version}.parquet')
+    name = f'dlq-{lo}-{hi}-{version}.parquet'
     out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
     os.makedirs(store.dlq_dir(pid), exist_ok=True)
-    return {final: _stage(store, pid, out, 'dlq')}
+    _stage(store, pid, out, 'dlq', store.dlq_path(pid, name), staged)
+    return [name]
 
 
 def _account_dlq(dlq: pa.Table, rejected: Dict[str, int],
@@ -677,26 +652,26 @@ def _lww_snapshot(incoming: pa.Table) -> tuple:
 
 
 def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
-                 incoming: pa.Table, mode: str, retain_history: bool) -> tuple:
+                 incoming: pa.Table, mode: str, retain_history: bool,
+                 staged: Dict[str, str]) -> dict:
     """Step 4: stage the partition's new state in ``mode`` over the last
-    committed one and return ``(manifest state fields, staged files)``, the
-    staged files a ``{final path: tmp path}`` map for the commit. A
-    rewrite names its base after the version it commits, so the base it
-    replaces stays readable until the manifest stops naming it."""
+    committed one into ``staged`` (``{final path: tmp path}``, for the
+    commit) and return the manifest's state fields. A rewrite names its
+    base after the version it commits, so the base it replaces stays
+    readable until the manifest stops naming it."""
     deltas, history = list(last.deltas), list(last.history)
     if mode == 'noop':
         # A never-committed partition (empty sha256) gets the empty digest.
         sha = last.sha256 or _canonical_digest(incoming)
         return dict(rows=last.rows, bytes=last.bytes, sha256=sha, base=last.base,
-                    deltas=deltas, history=history), {}
+                    deltas=deltas, history=history)
     if mode == 'delta':
         delta, name = _lww_snapshot(incoming)
         # Exact live-row count WITHOUT touching content bytes: merge the
         # key columns only (column-pruned reads of base + deltas).
         keys = _read_partition_tables(store, pid, last,
                                       columns=list(_MERGE_KEY_COLUMNS))
-        keys.append(delta.select(
-            [c for c in _MERGE_KEY_COLUMNS if c in delta.column_names]))
+        keys.append(delta.select(list(_MERGE_KEY_COLUMNS)))
         # Chained digest: the full canonical digest is recomputed at each
         # rewrite; between rewrites the chain stays deterministic.
         sha = hashlib.sha256(
@@ -704,29 +679,27 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         ).hexdigest()
         if retain_history:  # the delta file is also the history entry
             history = _append_new(history, name)
-        tmp = _stage(store, pid, delta, 'delta')
-        state = dict(rows=_merge_partition_tables(keys).num_rows,
-                     bytes=last.bytes + os.path.getsize(tmp), sha256=sha,
-                     base=last.base, deltas=_append_new(deltas, name),
-                     history=history)
-        return state, {store.delta_path(pid, name): tmp}
+        tmp = _stage(store, pid, delta, 'delta', store.delta_path(pid, name), staged)
+        return dict(rows=_merge_partition_tables(keys).num_rows,
+                    bytes=last.bytes + os.path.getsize(tmp), sha256=sha,
+                    base=last.base, deltas=_append_new(deltas, name),
+                    history=history)
     # rewrite: the full canonical state in hand. The folded-away deltas
     # were retained at their own commits; only this batch is new history.
     alive = _merge_partition_tables(
         _read_partition_tables(store, pid, last) + [incoming])
-    staged = {}
     if retain_history and incoming.num_rows:
         snap, name = _lww_snapshot(incoming)
-        staged[store.delta_path(pid, name)] = _stage(store, pid, snap, 'hist')
+        _stage(store, pid, snap, 'hist', store.delta_path(pid, name), staged)
         history = _append_new(history, name)
     base, nbytes = None, 0
     if alive.num_rows:
         base = f'base-{last.commit_version + 1}.parquet'
-        tmp = staged[store.delta_path(pid, base)] = _stage(store, pid, alive, 'data')
-        nbytes = os.path.getsize(tmp)
+        nbytes = os.path.getsize(
+            _stage(store, pid, alive, 'data', store.delta_path(pid, base), staged))
     return dict(rows=alive.num_rows, bytes=nbytes,
                 sha256=_canonical_digest(alive), base=base,
-                deltas=[], history=history), staged
+                deltas=[], history=history)
 
 
 def _append_new(names: List[str], name: str) -> List[str]:
@@ -734,20 +707,28 @@ def _append_new(names: List[str], name: str) -> List[str]:
 
 
 def _commit_optimistically(pid: int, attempt: Callable):
-    """Run one partition's read → merge → conditional-commit ``attempt``
-    until its commit lands — the one commit protocol of every writer
-    (ingest, redrive, vacuum). The attempt reads the manifest, works
-    without any lock, and commits conditional on the ``commit_version``
-    it read; a lost race (:class:`CommitConflictError`) re-reads and
-    re-merges. ``FileNotFoundError`` counts as a lost race too: the
-    winner's commit may remove a file the doomed attempt was reading.
-    A lone writer never conflicts and pays one short commit lock."""
+    """Run one partition's read → merge → conditional-commit
+    ``attempt(staged)`` until its commit lands — the one commit protocol
+    of every writer (ingest, redrive, vacuum). The attempt reads the
+    manifest, works without any lock, records each tmp file it stages in
+    ``staged`` and commits conditional on the ``commit_version`` it read;
+    a lost race (:class:`CommitConflictError`) re-reads and re-merges.
+    ``FileNotFoundError`` counts as a lost race too: the winner's commit
+    may remove a file the doomed attempt was reading. An attempt that
+    fails for any reason leaves no tmp file behind. A lone writer never
+    conflicts and pays one short commit lock."""
     for n in range(_COMMIT_MAX_ATTEMPTS):
+        staged: Dict[str, str] = {}
         try:
-            return attempt()
-        except (CommitConflictError, FileNotFoundError) as exc:
+            return attempt(staged)
+        except Exception as exc:
+            for tmp in staged.values():  # a published one is already gone
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
+            if not isinstance(exc, (CommitConflictError, FileNotFoundError)):
+                raise
             last_exc = exc
-            time.sleep(min(0.25, 0.01 * (1 << min(n, 4))))
+        time.sleep(min(0.25, 0.01 * (1 << min(n, 4))))
     raise RuntimeError(
         f'partition {pid}: commit lost {_COMMIT_MAX_ATTEMPTS} races in a '
         f'row — pathological contention',
@@ -772,8 +753,8 @@ def make_upsert_fn(lake_root: str, compact_every: int = 8,
             return pa.table({k: pa.array([], type=v) for k, v in _SUMMARY_SCHEMA.items()})
         store = ManifestStore(lake_root)
         pid = int(group.column(PART_COLUMN)[0].as_py())
-        return _commit_optimistically(pid, lambda: _apply_partition(
-            group, store, pid, _last_manifest(store, pid), redrive=False,
+        return _commit_optimistically(pid, lambda staged: _apply_partition(
+            group, store, pid, _last_manifest(store, pid), staged, redrive=False,
             compact_every=compact_every, retain_history=retain_history))
 
     return upsert_partition
@@ -787,10 +768,12 @@ def _last_manifest(store: ManifestStore, pid: int) -> PartitionManifest:
 
 
 def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
-                     last: PartitionManifest, redrive: bool,
-                     compact_every: int, retain_history: bool) -> pa.Table:
+                     last: PartitionManifest, staged: Dict[str, str],
+                     redrive: bool, compact_every: int,
+                     retain_history: bool) -> pa.Table:
     """One commit attempt of a validated partition group over ``last``,
-    the manifest the attempt read; returns the summary row.
+    the manifest the attempt read, staging its files into ``staged``;
+    returns the summary row.
 
     Five steps: admit (watermark drop; for a redrive, lsn dedup), DLQ
     accounting, DLQ write, state write, and one manifest commit. The
@@ -860,48 +843,40 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     max_lsn = pc.max(fresh.column(RAW_LSN_COLUMN)).as_py()
     hwm = last.hwm_lsn if max_lsn is None else max(last.hwm_lsn, max_lsn)
     skipped = group.num_rows - fresh.num_rows
-    staged = {}
-    try:
-        state, staged = _write_state(
-            store, pid, last, incoming, mode, retain_history)
-        dlq_file = _write_dlq(store, pid, dlq, last.commit_version + 1)
-        staged.update(dlq_file)
-        dlq_names = [os.path.basename(f) for f in dlq_file]
-        # Step 5: one commit, conditional on the version ``last`` holds,
-        # publishes the staged files with the manifest.
-        store.commit_partition(
-            PartitionManifest(
-                partition_id=pid,
-                hwm_lsn=hwm,
-                rejected_by_code=rejected,
-                events_applied=clean.num_rows,
-                events_skipped=skipped,
-                dlq_corrupt_lsns=corrupt,
-                dlq=dlq_names if redrive else last.dlq + dlq_names,
-                **state,
-            ),
-            staged, expected_version=last.commit_version,
-        )
-    except Exception:
-        # A failed attempt must not strand its tmp files.
-        for tmp in staged.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
+    state = _write_state(store, pid, last, incoming, mode, retain_history, staged)
+    dlq_names = _write_dlq(store, pid, dlq, last.commit_version + 1, staged)
+    # Step 5: one commit, conditional on the version ``last`` holds,
+    # publishes the staged files with the manifest.
+    store.commit_partition(
+        PartitionManifest(
+            partition_id=pid,
+            hwm_lsn=hwm,
+            rejected_by_code=rejected,
+            events_applied=clean.num_rows,
+            events_skipped=skipped,
+            dlq_corrupt_lsns=corrupt,
+            dlq=dlq_names if redrive else last.dlq + dlq_names,
+            **state,
+        ),
+        staged, expected_version=last.commit_version,
+    )
     return _summary_row(pid, group.num_rows, clean.num_rows, skipped, rejected)
 
 
 def _partition_task(lake_root: str, pid: int, attempt: Callable, *args):
-    """Commit one partition's maintenance ``attempt(store, pid, *args)``
+    """Commit one partition's maintenance ``attempt(store, pid, staged,
+    *args)``
     (vacuum or redrive) like any writer, through
     :func:`_commit_optimistically`, so it is safe alongside live ingest
     and other maintenance. Module-level so it ships as a Ray task (see
     :meth:`CDCPipeline._per_partition`)."""
     store = ManifestStore(lake_root)
-    return _commit_optimistically(pid, lambda: attempt(store, pid, *args))
+    return _commit_optimistically(
+        pid, lambda staged: attempt(store, pid, staged, *args))
 
 
-def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
+def _vacuum_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
+                    before_lsn: int) -> int:
     """One read → collapse → conditional-commit attempt of a vacuum (see
     :meth:`CDCPipeline.vacuum_history` for semantics): collapse the
     sub-``before_lsn`` history window into a checkpoint and record the
@@ -923,15 +898,13 @@ def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
     if not drop:
         return store.sweep(pid)
     hi = max(r[1] for r in drop.values())
-    staged = {}
     if len(drop) > 1:
         lo = min(r[0] for r in drop.values())
         ckpt_name = f'delta-{lo}-{hi}.parquet'
-        ckpt = _last_writer_wins(_concat_widened([
-            _ensure_op(pq.read_table(store.delta_path(pid, name)))
-            for name in drop]))
+        ckpt = _last_writer_wins(_read_files(
+            [store.delta_path(pid, name) for name in drop]))
         manifest.history = [ckpt_name] + keep
-        staged[store.delta_path(pid, ckpt_name)] = _stage(store, pid, ckpt, 'vac')
+        _stage(store, pid, ckpt, 'vac', store.delta_path(pid, ckpt_name), staged)
     elif hi <= manifest.history_floor_lsn:
         return store.sweep(pid)  # the floor already covers the window
     manifest.history_floor_lsn = max(manifest.history_floor_lsn, hi)
@@ -939,8 +912,9 @@ def _vacuum_attempt(store: ManifestStore, pid: int, before_lsn: int) -> int:
                                   expected_version=manifest.commit_version)
 
 
-def _redrive_attempt(store: ManifestStore, pid: int, validate: Callable,
-                     compact_every: int, retain_history: bool) -> List[dict]:
+def _redrive_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
+                     validate: Callable, compact_every: int,
+                     retain_history: bool) -> List[dict]:
     """One read → re-validate → conditional-commit attempt of a redrive
     (see :meth:`CDCPipeline.replay_dlq`); returns the partition's summary
     rows, none when its DLQ is empty.
@@ -954,10 +928,9 @@ def _redrive_attempt(store: ManifestStore, pid: int, validate: Callable,
     last = _last_manifest(store, pid)
     if not last.dlq:
         return []
-    paths = [store.dlq_path(pid, name) for name in last.dlq]
-    events = pq.read_table(paths, schema=_widened_schema(paths, drop=(ERRORS_COLUMN,)),
-                           partitioning=None)
-    return _apply_partition(validate(events), store, pid, last, redrive=True,
+    events = _read_files([store.dlq_path(pid, name) for name in last.dlq],
+                         drop=(ERRORS_COLUMN,))
+    return _apply_partition(validate(events), store, pid, last, staged, redrive=True,
                             compact_every=compact_every,
                             retain_history=retain_history).to_pylist()
 
@@ -968,27 +941,37 @@ def _redrive_attempt(store: ManifestStore, pid: int, validate: Callable,
 # ---------------------------------------------------------------------------
 
 
+def _parquet_files(directory: str) -> List[str]:
+    """A directory's ``*.parquet`` files, recursively and in sorted order,
+    skipping every name that starts with ``.`` or ``_``, as Ray Data's
+    parquet reader skips them. A ``key=value`` subdirectory is just a
+    directory: its name becomes no column."""
+    hidden = ('.', '_')
+    paths = []
+    for root, dirs, names in os.walk(directory):
+        dirs[:] = [d for d in dirs if not d.startswith(hidden)]
+        paths += [os.path.join(root, n) for n in names
+                  if n.endswith('.parquet') and not n.startswith(hidden)]
+    return sorted(paths)
+
+
 def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
     """The rule for which inputs commit as plain Ray tasks.
 
     An input whose row count is known without executing anything and is at
-    most ``batch_size`` is one validate batch: parquet files (counted from
-    their footers; every :meth:`CDCPipeline.tail` batch) and materialized
-    datasets such as ``rd.from_arrow(...)`` (counted from block metadata).
-    Returns the commit task's input, ``(paths, block refs)`` with one of
-    the two empty, or None for everything else (directories, lazy
-    datasets, larger inputs), which takes the Ray Data plan."""
+    most ``batch_size`` is one validate batch: a list of parquet files
+    (counted from their footers; a directory's files and every
+    :meth:`CDCPipeline.tail` batch) and materialized datasets such as
+    ``rd.from_arrow(...)`` (counted from block metadata). Returns the
+    commit task's input, ``(paths, block refs)`` with one of the two
+    empty, or None for everything else (lazy datasets, larger inputs),
+    which takes the Ray Data plan."""
     from ray.data.dataset import MaterializedDataset
 
-    if isinstance(events, (str, list)):
-        paths = [events] if isinstance(events, str) else list(events)
-        if not paths or not all(
-                isinstance(p, str) and p.endswith('.parquet') and os.path.isfile(p)
-                for p in paths):
+    if isinstance(events, list):
+        if sum(pq.read_metadata(p).num_rows for p in events) > batch_size:
             return None
-        if sum(pq.read_metadata(p).num_rows for p in paths) > batch_size:
-            return None
-        return paths, []
+        return events, []
     if isinstance(events, MaterializedDataset) and events.count() <= batch_size:
         return [], events.to_arrow_refs()
     return None
@@ -1008,8 +991,7 @@ def _commit_task(validate, upsert, cpus: int, paths: List[str],
     CPU. Returns ``(summary rows in partition order, stats text)``."""
     wall, cpu = time.perf_counter(), time.process_time()
     if paths:
-        batch = pq.read_table(paths, schema=_widened_schema(paths),
-                              partitioning=None)
+        batch = _read_files(paths)
     else:
         batch = pa.concat_tables(blocks, promote_options='default')
     order, ranges = None, []
@@ -1058,16 +1040,12 @@ def _upsert_share(upsert, batch: pa.Table, ranges: List[tuple],
 
 def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
     """Commit any input on the Ray Data plan: ``map_batches`` validate, the
-    ``groupby(_part)`` exchange and ``map_groups`` upsert. A file or list
-    of files reads under the schema widened across them, as in the task
-    shape; a directory keeps ``read_parquet``'s own inference. Returns
+    ``groupby(_part)`` exchange and ``map_groups`` upsert. A list of
+    parquet files streams under the schema widened across them
+    (:func:`_read_widened`), as the task shape reads it. Returns
     ``(summary rows, ds.stats() text)``."""
-    import ray.data as rd
-
-    if isinstance(events, (str, list)):
-        paths = [events] if isinstance(events, str) else list(events)
-        events = (_read_widened(paths) if all(map(os.path.isfile, paths))
-                  else rd.read_parquet(events))
+    if isinstance(events, list):
+        events = _read_widened(events)
     # Validation runs as STATELESS tasks with a per-worker-process
     # compiled-chain cache (see _make_validate_fn) rather than an
     # actor pool: chain compilation is cheap enough to amortize per
@@ -1176,8 +1154,15 @@ class CDCPipeline:
     # -- execution -------------------------------------------------------
 
     def run(self, events) -> RunReport:
-        """Ingest an event Dataset / parquet path; returns the run report:
-        validate → the ``_part`` exchange → per-partition upsert.
+        """Ingest an event Dataset, a parquet file, a list of them or a
+        directory; returns the run report: validate → the ``_part``
+        exchange → per-partition upsert.
+
+        A directory is its ``*.parquet`` files (:func:`_parquet_files`):
+        recursive, sorted, names starting with ``.`` or ``_`` skipped, and
+        a ``key=value`` subdirectory adds no column. Files always read
+        under the schema widened across them, so a column a later file
+        adds lands, null on the earlier files' rows.
 
         Two shapes run the same validate and upsert functions, chosen by
         :func:`_one_batch_source`: an input of at most ``batch_size`` rows
@@ -1191,6 +1176,10 @@ class CDCPipeline:
             self.num_partitions, self.langs, self.allow_extra_keys)
         upsert = make_upsert_fn(self.lake_root, compact_every=self.compact_every,
                                 retain_history=self.retain_history)
+        if isinstance(events, str):
+            events = _parquet_files(events) if os.path.isdir(events) else [events]
+            if not events:
+                raise ValueError('no *.parquet file in the input directory')
         source = _one_batch_source(events, self.batch_size)
         if source is not None:
             import ray
@@ -1408,16 +1397,13 @@ class CDCPipeline:
         out = []
         for paths in self._history_window(
                 f'table_as_of({lsn})', lsn, -1, lsn).values():
-            tables = []
-            for p in paths:
-                t = pq.read_table(p)
-                t = t.filter(pc.less_equal(t.column('last_lsn'), lsn))
-                if t.num_rows:
-                    tables.append(t)
-            if tables:
-                merged = _merge_partition_tables(tables)
-                if merged.num_rows:
-                    out.append(merged)
+            if not paths:
+                continue
+            t = _read_files(paths)
+            merged = _merge_partition_tables(
+                [t.filter(pc.less_equal(t.column('last_lsn'), lsn))])
+            if merged.num_rows:
+                out.append(merged)
         if not out:
             return pa.table({})
         return _concat_widened(out).sort_by(
@@ -1483,17 +1469,22 @@ class CDCPipeline:
         """The lake as a streaming ``ray.data.Dataset`` (the reader a
         downstream pipeline composes with; no driver materialization).
 
+        The fast path reads under the schema widened across the base
+        files, so it returns the columns of :meth:`final_table`: a column
+        some base lacks reads as null on its rows. Neither path derives a
+        ``part`` column from the ``part=<p>`` directories.
+
         ``columns`` prunes the read: base/delta files are read with only
-        the requested columns (plus, on the merge path, the LWW key
-        columns the merge itself needs — dropped again before return).
-        A downstream 2-column transform must not lift the content bytes
-        off disk.
+        the requested columns that some file has (plus, on the merge path,
+        the LWW key columns the merge itself needs — dropped again before
+        return). A downstream 2-column transform must not lift the content
+        bytes off disk.
 
         Fast path: with no active deltas anywhere (fresh single-run lake,
-        or post-compaction) this is a plain streaming ``read_parquet`` of
-        the base files. With deltas, each partition merges-on-read inside
-        its own task (one task per partition; Ray's dynamic block
-        splitting re-slices large merged outputs)."""
+        or post-compaction) this streams the base files
+        (:func:`_read_widened`). With deltas, each partition
+        merges-on-read inside its own task (one task per partition; Ray's
+        dynamic block splitting re-slices large merged outputs)."""
         import ray.data as rd
 
         manifests = {
@@ -1506,7 +1497,7 @@ class CDCPipeline:
                      for pid, m in manifests.items() if m is not None and m.base]
             if not paths:
                 return rd.from_arrow(pa.table({}))
-            return rd.read_parquet(paths, columns=columns)
+            return _read_widened(paths, columns)
 
         lake_root = self.lake_root
         pids = [

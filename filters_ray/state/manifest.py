@@ -70,9 +70,13 @@ conditional commit → retry loop, like Delta Lake's log:
    re-reads and tries again
 
 A partition is committed iff its ``manifest.json`` exists, and a commit
-lands iff its manifest is written: a writer dying before that leaves
-only tmp files and unlisted files, which no reader opens and the next
-commit or :meth:`ManifestStore.sweep` removes. On resume, events with
+lands iff its manifest is written. An attempt that fails for any reason
+removes the tmp files it staged (``_commit_optimistically`` in
+``pipelines/cdc.py``), and files it renamed before dying are unlisted,
+which no reader opens and the next commit or
+:meth:`ManifestStore.sweep` removes. A writer killed outright (SIGKILL)
+gets no such cleanup: its tmp files stay, and no code removes them,
+since tmp names are never swept. On resume, events with
 ``lsn <= hwm_lsn`` are dropped before merging, so replaying any suffix (or
 the whole log) reproduces the identical table.
 

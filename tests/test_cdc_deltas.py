@@ -258,10 +258,17 @@ def test_dlq_accounting_does_not_rescan_history(tmp_path):
 
 @pytest.mark.usefixtures('ray_session')
 def test_as_dataset_column_pruning(tmp_path):
-    """as_dataset(columns=...) returns exactly the requested columns on
-    both the fast (base-only) and merge-on-read (deltas) paths, with the
-    same rows as final_table."""
+    """as_dataset() returns the columns of final_table and
+    as_dataset(columns=...) exactly the requested columns, on both the
+    fast (base-only) and merge-on-read (deltas) paths, with the same rows
+    as final_table; on the fast path a column only a later base has reads
+    as null on the other bases' rows."""
+    from collections import Counter
+
+    import pyarrow.compute as pc
     import ray.data as rd
+
+    from filters_ray.pipelines.cdc import key_partition
 
     cfg = SynthConfig(n_keys=40, n_events=400, n_repos=4, seed=37)
     log = make_events(cfg)
@@ -270,6 +277,7 @@ def test_as_dataset_column_pruning(tmp_path):
     # Fast path: single run, no deltas.
     lake1 = CDCPipeline(str(tmp_path / 'one'), num_partitions=4)
     lake1.run(rd.from_arrow(log))
+    assert lake1.as_dataset().schema().names == lake1.final_table().column_names
     pruned = lake1.as_dataset(columns=['repo', 'last_lsn'])
     t = pruned.to_pandas()
     assert sorted(t.columns) == ['last_lsn', 'repo']
@@ -281,12 +289,35 @@ def test_as_dataset_column_pruning(tmp_path):
     lake2.run(rd.from_arrow(chunks[0]))
     lake2.run(rd.from_arrow(chunks[1]))
     assert any(m.deltas for m in lake2.store.all_manifests().values())
+    assert lake2.as_dataset().schema().names == lake2.final_table().column_names
     t2 = lake2.as_dataset(columns=['repo', 'last_lsn']).to_pandas()
     assert sorted(t2.columns) == ['last_lsn', 'repo']
     final = lake2.final_table()
     assert len(t2) == final.num_rows
     assert sorted(t2['last_lsn']) == sorted(
         final.column('last_lsn').to_pylist())
+
+    # Fast path over bases that differ by an added column: one event with
+    # `branch` rewrites the last partition's base only (compact_every=1).
+    lake3 = CDCPipeline(str(tmp_path / 'added'), num_partitions=4,
+                        compact_every=1)
+    lake3.run(rd.from_arrow(log))
+    path = next(f'added-{i}.txt' for i in range(100) if key_partition(
+        pa.array(['org/added']), pa.array([f'added-{i}.txt']), 4)[0] == 3)
+    lake3.run(rd.from_arrow(pa.Table.from_pylist([{
+        'lsn': pc.max(log.column('lsn')).as_py() + 1, 'op': 'insert',
+        'repo': 'org/added', 'path': path, 'commit': 'c' * 40, 'lang': '',
+        'content': 'x', 'branch': 'dev'}])))
+    manifests = lake3.store.all_manifests()
+    assert not any(m.deltas for m in manifests.values())
+    assert all(m.base for m in manifests.values())
+    final = lake3.final_table()
+    assert lake3.as_dataset().schema().names == final.column_names
+    rows = lake3.as_dataset(columns=['repo', 'branch']).take_all()
+    assert all(sorted(r) == ['branch', 'repo'] for r in rows)
+    assert Counter((r['repo'], r['branch']) for r in rows) == Counter(
+        zip(final.column('repo').to_pylist(), final.column('branch').to_pylist()))
+    assert final.column('branch').null_count == final.num_rows - 1
 
 
 @pytest.mark.usefixtures('ray_session')

@@ -108,16 +108,30 @@ def test_dedup_by_lsn_exact_above_2_53():
     assert out.column('v').to_pylist() == [0, 1, 2, 4, 5]
 
 
+def _last_writer_wins_sorted(table: pa.Table) -> pa.Table:
+    """The differential oracle of ``_last_writer_wins``: a full (repo,
+    path, last_lsn) stable sort, keeping the last row per key."""
+    import numpy as np
+
+    if table.num_rows == 0:
+        return table
+    table = table.sort_by([
+        ('repo', 'ascending'), ('path', 'ascending'), ('last_lsn', 'ascending'),
+    ])
+    repo = np.asarray(table.column('repo').to_numpy(zero_copy_only=False), dtype=object)
+    path = np.asarray(table.column('path').to_numpy(zero_copy_only=False), dtype=object)
+    is_last = np.ones(len(repo), dtype=bool)
+    is_last[:-1] = ~((repo[:-1] == repo[1:]) & (path[:-1] == path[1:]))
+    return table.filter(pa.array(is_last))
+
+
 def test_lww_fast_path_matches_sorted_path():
     """The dictionary-encode/lexsort LWW must equal the exact sort-based
     path row-for-row — incl. duplicate (key, lsn) deliveries (last input
     occurrence wins), deletes, single-key and empty tables."""
     import numpy as np
 
-    from filters_ray.pipelines.cdc import (
-        _last_writer_wins,
-        _last_writer_wins_sorted,
-    )
+    from filters_ray.pipelines.cdc import _last_writer_wins
 
     rng = np.random.RandomState(11)
     for trial in range(20):

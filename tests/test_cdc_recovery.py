@@ -446,8 +446,9 @@ def test_crash_point_matrix(tmp_path, monkeypatch, writer, point):
     commit lock, (renamed) after the renames and before ``manifest.json``,
     (published) after ``manifest.json`` and before unlisted files go.
     Readers then see the last committed state: the old one until the
-    manifest is written, the new one after. Re-running the call and a
-    sweep converge to the oracle and leave only manifest-named files."""
+    manifest is written, the new one after, and the failed attempt left
+    no tmp file. Re-running the call and a sweep converge to the oracle
+    and leave only manifest-named files."""
     from filters_ray.sources.synth import LANGS
     from filters_ray.state import manifest
     from filters_ray.state.manifest import ManifestStore
@@ -479,6 +480,9 @@ def test_crash_point_matrix(tmp_path, monkeypatch, writer, point):
         with pytest.raises(_Crash):
             call()
     assert _lake_state(pipeline) == (committed if point == 'published' else before)
+    store = pipeline.store
+    assert [f for d in (store.partition_dir(0), store.dlq_dir(0))
+            for f in os.listdir(d) if '.tmp-' in f] == []
 
     call()
     pipeline.store.sweep(0)

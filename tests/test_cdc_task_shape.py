@@ -101,7 +101,9 @@ def test_one_batch_inputs_skip_the_plan(tmp_path):
     log = make_events(SynthConfig(n_keys=40, n_events=300, n_repos=4, seed=43))
     oracle = replay_oracle(log.to_pylist())
     [path] = write_files(log, str(tmp_path / 'in'), 1)
-    for name, events in (('path', path), ('from_arrow', rd.from_arrow(log))):
+    inputs = (('path', path), ('from_arrow', rd.from_arrow(log)),
+              ('directory', str(tmp_path / 'in')))
+    for name, events in inputs:
         pipeline = CDCPipeline(str(tmp_path / name), num_partitions=8,
                                batch_size=log.num_rows)
         report = pipeline.run(events)
@@ -112,7 +114,7 @@ def test_one_batch_inputs_skip_the_plan(tmp_path):
         assert stats['validate.wall_s'] > 0 and stats['upsert.wall_s'] > 0
         assert stats['exchange.wall_s'] == 0
 
-    for name, events in (('path', path), ('from_arrow', rd.from_arrow(log))):
+    for name, events in inputs:
         pipeline = CDCPipeline(str(tmp_path / f'big-{name}'), num_partitions=8,
                                batch_size=log.num_rows - 1)
         with pytest.raises(RuntimeError, match='plan ran'):
@@ -181,28 +183,34 @@ def assert_branch_landed(pipeline, log) -> None:
 @pytest.mark.usefixtures('ray_session')
 def test_tail_batch_lands_a_column_its_second_file_adds(tmp_path):
     """One ``tail()`` batch of two files, the second with an extra
-    ``branch`` column: the batch reads under the widened schema."""
-    log, _ = write_branch_files(str(tmp_path / 'in'))
-    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
-    report = pipeline.tail(str(tmp_path / 'in'), max_batches=1,
-                           poll_interval=0.01, idle_timeout=0)
-    assert report.events_seen == log.num_rows
-    assert pipeline.last_stats.startswith('Operator 1 validate')
-    assert_branch_landed(pipeline, log)
+    ``branch`` column, and ``run`` of their directory: each commits in
+    one task and reads under the widened schema."""
+    directory = str(tmp_path / 'in')
+    log, _ = write_branch_files(directory)
+    for name, ingest in (
+            ('tail', lambda p: p.tail(directory, max_batches=1,
+                                      poll_interval=0.01, idle_timeout=0)),
+            ('directory', lambda p: p.run(directory))):
+        pipeline = CDCPipeline(str(tmp_path / name), num_partitions=4)
+        report = ingest(pipeline)
+        assert report.events_seen == log.num_rows
+        assert pipeline.last_stats.startswith('Operator 1 validate')
+        assert_branch_landed(pipeline, log)
 
 
 @pytest.mark.usefixtures('ray_session')
 def test_plan_run_lands_a_column_its_second_file_adds(tmp_path):
-    """``run([f1, f2])`` above ``batch_size`` rows takes the plan, which
-    reads the files under their widened schema: ``branch``, which only
-    ``f2`` has, lands."""
+    """``run([f1, f2])`` and ``run`` of their directory above
+    ``batch_size`` rows take the plan, which reads the files under their
+    widened schema: ``branch``, which only ``f2`` has, lands."""
     log, paths = write_branch_files(str(tmp_path / 'in'))
-    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4,
-                           batch_size=log.num_rows // 4)
-    report = pipeline.run(paths)
-    assert report.events_seen == log.num_rows
-    assert not pipeline.last_stats.startswith('Operator 1 validate')
-    assert_branch_landed(pipeline, log)
+    for name, events in (('files', paths), ('directory', str(tmp_path / 'in'))):
+        pipeline = CDCPipeline(str(tmp_path / name), num_partitions=4,
+                               batch_size=log.num_rows // 4)
+        report = pipeline.run(events)
+        assert report.events_seen == log.num_rows
+        assert not pipeline.last_stats.startswith('Operator 1 validate')
+        assert_branch_landed(pipeline, log)
 
 
 @pytest.mark.usefixtures('ray_session')
