@@ -4,7 +4,7 @@ The north-star pipeline (BASELINE.json ``north_star``) has two shapes
 with one commit path. An input larger than one validate batch, or whose
 size is unknown before it runs, takes the Ray Data plan:
 
-    _read_widened(files) or a lazy Dataset             # ordered change log
+    _read_dataset(files) or a lazy Dataset             # ordered change log
       → map_batches(ValidateStage, pyarrow, zero-copy)  # compiled chains
           # + _part (hash of raw (repo,path) % P) + _raw_lsn columns
       → groupby('_part').map_groups(upsert_partition)   # THE one shuffle
@@ -51,9 +51,14 @@ Scale design (SURVEY.md §4):
   LSN order), but across batch boundaries the source must not introduce a
   *new* event at or below an already-delivered LSN — re-deliveries
   (duplicates) are fine and are dropped/deduplicated by identity.
-* **Schema evolution** — additive columns arriving on events (allowed
-  "extra keys", reference complex.py:306-315) widen the partition schema
-  via :func:`filters_ray.state.registry.widen_schema`.
+* **Schema evolution** — one lake schema, recorded in ``_meta.json``
+  and decided at commit: additive columns arriving on events (allowed
+  "extra keys", reference complex.py:306-315) or wider types widen it
+  (:meth:`~filters_ray.state.manifest.ManifestStore.widen_lake_schema`)
+  before the commit stages a file, a non-additive change is refused
+  there with ``ValueError``, and every read of base, delta and history
+  files uses it (:func:`_lake_schema`), so a column added later reads as
+  null on older rows.
 * **Content bytes preserved** — ``content`` goes through
   ``ByteString(normalize=False)`` only (no normalizing Unicode), keeping
   ``sha256(content)`` invariant per ``(repo, path)``.
@@ -378,63 +383,62 @@ def _drop_tombstones(latest: pa.Table) -> pa.Table:
     )
 
 
-def _concat_widened(tables: List[pa.Table]) -> pa.Table:
-    """Concat with additive schema widening across inputs."""
-    if not tables:
-        return pa.table({})
-    schema = tables[0].schema
-    for t in tables[1:]:
-        schema, _ = widen_schema(schema, t.schema)
-    return pa.concat_tables([align_table(t, schema) for t in tables])
-
-
-def _widened_schema(paths: List[str], columns: Optional[Iterable[str]] = None,
-                    drop: Iterable[str] = ()) -> pa.Schema:
-    """The lake's one read rule: the schema of parquet files whose schemas
-    differ additively, widened across them, pruned to the requested
-    ``columns`` that some file has (in request order), minus ``drop``.
-    First-fragment schema inference can drop later-added columns (ADVICE
-    r3), so both readers, :func:`_read_files` and :func:`_read_widened`,
-    pass this schema explicitly and null-fill the columns a file lacks."""
+def _widened_schema(paths: List[str], drop: Iterable[str] = ()) -> pa.Schema:
+    """The schema of events as delivered, in input files and DLQ files:
+    their footers' schemas widened across them, minus ``drop``. First-
+    fragment schema inference can drop later-added columns (ADVICE r3),
+    so the readers get this schema explicitly and null-fill the columns
+    a file lacks. Lake files never need it: they are read under
+    :func:`_lake_schema`."""
     schema = None
     for p in paths:
         s = pq.read_schema(p).remove_metadata()
         schema = s if schema is None else widen_schema(schema, s)[0]
-    if columns is not None:
-        schema = pa.schema([schema.field(c) for c in columns if c in schema.names])
     for name in drop:
         schema = schema.remove(schema.get_field_index(name))
     return schema
 
 
-def _read_files(paths: List[str], columns: Optional[Iterable[str]] = None,
-                drop: Iterable[str] = ()) -> pa.Table:
+def _lake_schema(store: ManifestStore,
+                 columns: Optional[Iterable[str]] = None) -> Optional[pa.Schema]:
+    """The lake schema of base, delta and history files (``_meta.json``),
+    pruned to the requested ``columns`` it has, in request order, each
+    once; None on a lake that never committed a row. Read it *after* the manifests
+    whose files it must cover: it only grows, and always before a commit
+    publishes a file with the new column."""
+    schema = store.lake_schema()
+    if schema is None or columns is None:
+        return schema
+    return pa.schema([schema.field(c) for c in dict.fromkeys(columns)
+                      if c in schema.names])
+
+
+def _read_files(paths: List[str], schema: Optional[pa.Schema]) -> pa.Table:
     """Read parquet files as one table, rows in file order, under
-    :func:`_widened_schema`. The ``part=<p>`` directories are not hive
-    partitions: no ``part`` column is derived from the path."""
-    return pq.read_table(paths, schema=_widened_schema(paths, columns, drop),
-                         partitioning=None)
+    ``schema`` (:func:`_lake_schema` for lake files, :func:`_widened_schema`
+    for events as delivered): a column a file lacks reads as null, a
+    narrower type is cast up, and a column outside ``schema`` is not
+    read. The ``part=<p>`` directories are not hive partitions: no
+    ``part`` column is derived from the path."""
+    return pq.read_table(paths, schema=schema, partitioning=None)
 
 
-def _read_widened(paths: List[str], columns: Optional[Iterable[str]] = None,
-                  drop: Iterable[str] = ()):
+def _read_dataset(paths: List[str], schema: Optional[pa.Schema]):
     """:func:`_read_files` as a streaming ``ray.data.Dataset``."""
     import ray.data as rd
 
-    return rd.read_parquet(paths, schema=_widened_schema(paths, columns, drop),
-                           partitioning=None)
+    return rd.read_parquet(paths, schema=schema, partitioning=None)
 
 
 def _merge_partition_tables(tables: List[pa.Table]) -> pa.Table:
-    """base ∪ deltas ∪ incoming → canonical live rows.
-
-    Additive schema widening across inputs, last-writer-wins on
-    (repo, path, last_lsn), tombstones (op='delete') dropped. ONE sort:
+    """base ∪ deltas ∪ incoming, all under one schema → canonical live
+    rows: last-writer-wins on (repo, path, last_lsn), tombstones
+    (op='delete') dropped. ONE sort:
     the LWW (repo, path, last_lsn) sort already leaves the surviving
     (unique-keyed) rows in canonical (repo, path) order, so no second
     sort is needed. Idempotent: re-merging already-merged rows yields
     the identical table (crash-retry safety)."""
-    return _drop_tombstones(_last_writer_wins(_concat_widened(tables)))
+    return _drop_tombstones(_last_writer_wins(pa.concat_tables(tables)))
 
 
 def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]:
@@ -449,13 +453,14 @@ def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]
     return [store.delta_path(pid, name) for name in names]
 
 
-def _read_partition_tables(
-    store: ManifestStore, pid: int, manifest, columns=None,
-) -> List[pa.Table]:
-    """The partition's base + listed deltas as one table (none for a
-    partition without files), optionally pruned to ``columns``."""
+def _live_rows(store: ManifestStore, pid: int, manifest,
+               schema: Optional[pa.Schema], *extra: pa.Table) -> Optional[pa.Table]:
+    """A partition's live rows: its base + listed deltas, read under
+    ``schema``, merged on read with the ``extra`` tables (a commit's new
+    rows, aligned to ``schema``); None with no file and no extra table."""
     paths = _partition_file_paths(store, pid, manifest)
-    return [_read_files(paths, columns)] if paths else []
+    tables = ([_read_files(paths, schema)] if paths else []) + list(extra)
+    return _merge_partition_tables(tables) if tables else None
 
 
 def _last_writer_wins(table: pa.Table) -> pa.Table:
@@ -574,7 +579,7 @@ def _needs_arrow_schema(serialized: bytes) -> bool:
     sink = pa.BufferOutputStream()
     pq.write_table(schema.empty_table(), sink, store_schema=False,
                    use_compliant_nested_type=False)
-    back = pq.read_schema(pa.BufferReader(sink.getvalue()))
+    back = pq.ParquetFile(pa.BufferReader(sink.getvalue())).schema_arrow
     return not back.equals(schema, check_metadata=True)
 
 
@@ -652,13 +657,14 @@ def _lww_snapshot(incoming: pa.Table) -> tuple:
 
 
 def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
-                 incoming: pa.Table, mode: str, retain_history: bool,
-                 staged: Dict[str, str]) -> dict:
+                 incoming: pa.Table, schema: pa.Schema, mode: str,
+                 retain_history: bool, staged: Dict[str, str]) -> dict:
     """Step 4: stage the partition's new state in ``mode`` over the last
     committed one into ``staged`` (``{final path: tmp path}``, for the
-    commit) and return the manifest's state fields. A rewrite names its
-    base after the version it commits, so the base it replaces stays
-    readable until the manifest stops naming it."""
+    commit) and return the manifest's state fields. The committed files
+    are read under ``schema``, the lake schema ``incoming`` is aligned
+    to. A rewrite names its base after the version it commits, so the
+    base it replaces stays readable until the manifest stops naming it."""
     deltas, history = list(last.deltas), list(last.history)
     if mode == 'noop':
         # A never-committed partition (empty sha256) gets the empty digest.
@@ -669,9 +675,9 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         delta, name = _lww_snapshot(incoming)
         # Exact live-row count WITHOUT touching content bytes: merge the
         # key columns only (column-pruned reads of base + deltas).
-        keys = _read_partition_tables(store, pid, last,
-                                      columns=list(_MERGE_KEY_COLUMNS))
-        keys.append(delta.select(list(_MERGE_KEY_COLUMNS)))
+        keys = _live_rows(store, pid, last, pa.schema(
+            [schema.field(c) for c in _MERGE_KEY_COLUMNS]),
+            delta.select(list(_MERGE_KEY_COLUMNS)))
         # Chained digest: the full canonical digest is recomputed at each
         # rewrite; between rewrites the chain stays deterministic.
         sha = hashlib.sha256(
@@ -680,14 +686,13 @@ def _write_state(store: ManifestStore, pid: int, last: PartitionManifest,
         if retain_history:  # the delta file is also the history entry
             history = _append_new(history, name)
         tmp = _stage(store, pid, delta, 'delta', store.delta_path(pid, name), staged)
-        return dict(rows=_merge_partition_tables(keys).num_rows,
+        return dict(rows=keys.num_rows,
                     bytes=last.bytes + os.path.getsize(tmp), sha256=sha,
                     base=last.base, deltas=_append_new(deltas, name),
                     history=history)
     # rewrite: the full canonical state in hand. The folded-away deltas
     # were retained at their own commits; only this batch is new history.
-    alive = _merge_partition_tables(
-        _read_partition_tables(store, pid, last) + [incoming])
+    alive = _live_rows(store, pid, last, schema, incoming)
     if retain_history and incoming.num_rows:
         snap, name = _lww_snapshot(incoming)
         _stage(store, pid, snap, 'hist', store.delta_path(pid, name), staged)
@@ -746,6 +751,10 @@ def make_upsert_fn(lake_root: str, compact_every: int = 8,
     a redrive) interleave through :func:`_commit_optimistically`: the
     read-merge runs lock-free and the commit is conditional on the
     version read, so a lost update can never be silent (VERDICT r4 #3).
+
+    ``lake_root`` need not hold a ``_meta.json``: in a bare directory
+    each commit's schema is its own batch's, and no lake schema is
+    recorded.
     """
 
     def upsert_partition(group: pa.Table) -> pa.Table:
@@ -776,7 +785,10 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     returns the summary row.
 
     Five steps: admit (watermark drop; for a redrive, lsn dedup), DLQ
-    accounting, DLQ write, state write, and one manifest commit. The
+    accounting, DLQ write, state write, and one manifest commit. Before
+    the writes stage anything, a batch with valid rows widens the lake
+    schema, and its rows are aligned to it; a non-additive type change
+    raises ``ValueError`` there, so the attempt commits nothing. The
     state write runs in one of three modes:
 
     * ``noop`` — nothing valid arrived: counts and watermark only.
@@ -830,6 +842,12 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     incoming = incoming.rename_columns([
         'last_lsn' if c == 'lsn' else c for c in incoming.column_names
     ])
+    # The lake schema, read after ``last`` and widened by a batch with
+    # rows before anything is staged: a type conflict raises here and
+    # commits nothing.
+    schema = (store.widen_lake_schema(incoming.schema) if incoming.num_rows
+              else store.lake_schema() or incoming.schema)
+    incoming = align_table(incoming, schema)
     has_base = last.base is not None
     if redrive:
         mode = 'rewrite'
@@ -843,7 +861,8 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     max_lsn = pc.max(fresh.column(RAW_LSN_COLUMN)).as_py()
     hwm = last.hwm_lsn if max_lsn is None else max(last.hwm_lsn, max_lsn)
     skipped = group.num_rows - fresh.num_rows
-    state = _write_state(store, pid, last, incoming, mode, retain_history, staged)
+    state = _write_state(store, pid, last, incoming, schema, mode,
+                         retain_history, staged)
     dlq_names = _write_dlq(store, pid, dlq, last.commit_version + 1, staged)
     # Step 5: one commit, conditional on the version ``last`` holds,
     # publishes the staged files with the manifest.
@@ -902,7 +921,7 @@ def _vacuum_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
         lo = min(r[0] for r in drop.values())
         ckpt_name = f'delta-{lo}-{hi}.parquet'
         ckpt = _last_writer_wins(_read_files(
-            [store.delta_path(pid, name) for name in drop]))
+            [store.delta_path(pid, name) for name in drop], _lake_schema(store)))
         manifest.history = [ckpt_name] + keep
         _stage(store, pid, ckpt, 'vac', store.delta_path(pid, ckpt_name), staged)
     elif hi <= manifest.history_floor_lsn:
@@ -928,8 +947,8 @@ def _redrive_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
     last = _last_manifest(store, pid)
     if not last.dlq:
         return []
-    events = _read_files([store.dlq_path(pid, name) for name in last.dlq],
-                         drop=(ERRORS_COLUMN,))
+    paths = [store.dlq_path(pid, name) for name in last.dlq]
+    events = _read_files(paths, _widened_schema(paths, drop=(ERRORS_COLUMN,)))
     return _apply_partition(validate(events), store, pid, last, staged, redrive=True,
                             compact_every=compact_every,
                             retain_history=retain_history).to_pylist()
@@ -991,7 +1010,7 @@ def _commit_task(validate, upsert, cpus: int, paths: List[str],
     CPU. Returns ``(summary rows in partition order, stats text)``."""
     wall, cpu = time.perf_counter(), time.process_time()
     if paths:
-        batch = _read_files(paths)
+        batch = _read_files(paths, _widened_schema(paths))
     else:
         batch = pa.concat_tables(blocks, promote_options='default')
     order, ranges = None, []
@@ -1042,10 +1061,10 @@ def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
     """Commit any input on the Ray Data plan: ``map_batches`` validate, the
     ``groupby(_part)`` exchange and ``map_groups`` upsert. A list of
     parquet files streams under the schema widened across them
-    (:func:`_read_widened`), as the task shape reads it. Returns
+    (:func:`_widened_schema`), as the task shape reads it. Returns
     ``(summary rows, ds.stats() text)``."""
     if isinstance(events, list):
-        events = _read_widened(events)
+        events = _read_dataset(events, _widened_schema(events))
     # Validation runs as STATELESS tasks with a per-worker-process
     # compiled-chain cache (see _make_validate_fn) rather than an
     # actor pool: chain compilation is cheap enough to amortize per
@@ -1138,11 +1157,11 @@ class CDCPipeline:
                     meta = TableMeta(num_partitions=num_partitions,
                                      retain_history=retain_history)
                     store.write_meta(meta)
-        if meta.version < 3:
+        if meta.version < 4:
             raise ValueError(
                 f'{lake_root} is a layout-version-{meta.version} lake; this '
-                'version reads only lakes whose manifests name every live '
-                'file (layout version 3): rebuild it by replaying its log',
+                'version reads only lakes whose _meta.json records the lake '
+                'schema (layout version 4): rebuild it by replaying its log',
             )
         # The pinned settings win (a no-op for the creator): partition
         # count for replay determinism; retention because a lake that
@@ -1282,23 +1301,23 @@ class CDCPipeline:
 
     def partition_table(self, pid: int) -> Optional[pa.Table]:
         """One partition's live rows, merged-on-read (base ∪ listed
-        deltas, LWW, tombstones dropped, canonical sort)."""
+        deltas under the lake schema, LWW, tombstones dropped, canonical
+        sort)."""
         manifest = self.store.read_manifest(pid)
-        tables = _read_partition_tables(self.store, pid, manifest)
-        if not tables:
-            return None
-        return _merge_partition_tables(tables)
+        return _live_rows(self.store, pid, manifest, _lake_schema(self.store))
 
     def final_table(self) -> pa.Table:
-        """Read the whole lake (tests / small scales only)."""
-        tables = []
-        for pid in range(self.num_partitions):
-            t = self.partition_table(pid)
-            if t is not None and t.num_rows:
-                tables.append(t)
+        """Read the whole lake (tests / small scales only); every
+        partition is read under the one lake schema."""
+        manifests = [self.store.read_manifest(pid)
+                     for pid in range(self.num_partitions)]
+        schema = _lake_schema(self.store)
+        tables = [_live_rows(self.store, pid, m, schema)
+                  for pid, m in enumerate(manifests)]
+        tables = [t for t in tables if t is not None and t.num_rows]
         if not tables:
             return pa.table({})
-        return _concat_widened(tables).sort_by(
+        return pa.concat_tables(tables).sort_by(
             [('repo', 'ascending'), ('path', 'ascending')],
         )
 
@@ -1346,20 +1365,18 @@ class CDCPipeline:
         ``since_lsn < last_lsn <= until_lsn``, at commit granularity
         (within-micro-batch overwrites are collapsed by that batch's
         LWW, as in Delta Lake CDF). File pruning via the LSN window in
-        each history file's name — only overlapping files are read."""
+        each history file's name — only overlapping files are read. Rows
+        come under the lake schema, read after the manifests; an empty
+        feed is its empty table (no columns before the first commit)."""
         import ray.data as rd
 
         self._require_history('changes()')
         windows = self._history_window(
             f'changes(since_lsn={since_lsn})', since_lsn, since_lsn, until_lsn)
         paths = [p for pid_paths in windows.values() for p in pid_paths]
+        schema = _lake_schema(self.store)
         if not paths:
-            return rd.from_arrow(pa.table({
-                'repo': pa.array([], type=pa.string()),
-                'path': pa.array([], type=pa.string()),
-                'op': pa.array([], type=pa.string()),
-                'last_lsn': pa.array([], type=pa.int64()),
-            }))
+            return rd.from_arrow(schema.empty_table() if schema else pa.table({}))
 
         def window(batch: pa.Table) -> pa.Table:
             lsn = batch.column('last_lsn')
@@ -1368,16 +1385,15 @@ class CDCPipeline:
                 mask = pc.and_(mask, pc.less_equal(lsn, until_lsn))
             return batch.filter(mask)
 
-        return _read_widened(paths).map_batches(window, batch_format='pyarrow')
+        return _read_dataset(paths, schema).map_batches(window, batch_format='pyarrow')
 
     def changes(self, since_lsn: int = -1,
                 until_lsn: Optional[int] = None) -> pa.Table:
         """Small-result/test wrapper over :meth:`changes_dataset`,
         ordered by (last_lsn, repo, path)."""
-        table = _concat_widened(
-            list(self.changes_dataset(since_lsn, until_lsn)
-                 .iter_batches(batch_format='pyarrow')),
-        )
+        tables = list(self.changes_dataset(since_lsn, until_lsn)
+                      .iter_batches(batch_format='pyarrow'))
+        table = pa.concat_tables(tables) if tables else pa.table({})
         if table.num_rows == 0:
             return table
         return table.sort_by([
@@ -1394,19 +1410,20 @@ class CDCPipeline:
         per-key update run reflects only the batch's winners (commit
         granularity, as documented for :meth:`changes`)."""
         self._require_history('table_as_of()')
+        windows = self._history_window(f'table_as_of({lsn})', lsn, -1, lsn)
+        schema = _lake_schema(self.store)
         out = []
-        for paths in self._history_window(
-                f'table_as_of({lsn})', lsn, -1, lsn).values():
+        for paths in windows.values():
             if not paths:
                 continue
-            t = _read_files(paths)
+            t = _read_files(paths, schema)
             merged = _merge_partition_tables(
                 [t.filter(pc.less_equal(t.column('last_lsn'), lsn))])
             if merged.num_rows:
                 out.append(merged)
         if not out:
             return pa.table({})
-        return _concat_widened(out).sort_by(
+        return pa.concat_tables(out).sort_by(
             [('repo', 'ascending'), ('path', 'ascending')],
         )
 
@@ -1469,62 +1486,55 @@ class CDCPipeline:
         """The lake as a streaming ``ray.data.Dataset`` (the reader a
         downstream pipeline composes with; no driver materialization).
 
-        The fast path reads under the schema widened across the base
-        files, so it returns the columns of :meth:`final_table`: a column
-        some base lacks reads as null on its rows. Neither path derives a
-        ``part`` column from the ``part=<p>`` directories.
+        Both paths read under the lake schema, read once, after the
+        manifests, so every block has :meth:`final_table`'s columns: a
+        column some file lacks reads as null on its rows. A column
+        committed after this call is not in the dataset. Neither path
+        derives a ``part`` column from the ``part=<p>`` directories.
 
         ``columns`` prunes the read: base/delta files are read with only
-        the requested columns that some file has (plus, on the merge path,
-        the LWW key columns the merge itself needs — dropped again before
+        the requested columns the lake has (plus, on the merge path, the
+        LWW key columns the merge itself needs — dropped again before
         return). A downstream 2-column transform must not lift the content
         bytes off disk.
 
         Fast path: with no active deltas anywhere (fresh single-run lake,
         or post-compaction) this streams the base files
-        (:func:`_read_widened`). With deltas, each partition
+        (:func:`_read_dataset`). With deltas, each partition
         merges-on-read inside its own task (one task per partition; Ray's
-        dynamic block splitting re-slices large merged outputs)."""
+        dynamic block splitting re-slices large merged outputs), under
+        the pruned lake schema the tasks are given."""
         import ray.data as rd
 
         manifests = {
             pid: self.store.read_manifest(pid)
             for pid in range(self.num_partitions)
         }
-        any_deltas = any(m is not None and m.deltas for m in manifests.values())
-        if not any_deltas:
+        if not any(m is not None and m.deltas for m in manifests.values()):
             paths = [self.store.delta_path(pid, m.base)
                      for pid, m in manifests.items() if m is not None and m.base]
             if not paths:
                 return rd.from_arrow(pa.table({}))
-            return _read_widened(paths, columns)
+            return _read_dataset(paths, _lake_schema(self.store, columns))
 
         lake_root = self.lake_root
         pids = [
             pid for pid in range(self.num_partitions)
             if _partition_file_paths(self.store, pid, manifests[pid])
         ]
-        if not pids:
-            return rd.from_arrow(pa.table({}))
-
-        read_cols = None
-        if columns is not None:
-            read_cols = list(dict.fromkeys(
-                list(columns) + list(_MERGE_KEY_COLUMNS)))
+        schema = _lake_schema(self.store, None if columns is None
+                              else [*columns, *_MERGE_KEY_COLUMNS])
+        names = [c for c in (schema.names if columns is None else columns)
+                 if c in schema.names]
 
         def read_merged(batch: pa.Table) -> pa.Table:
             store = ManifestStore(lake_root)
-            out = []
+            out = [schema.empty_table()]
             for pid in batch.column('pid').to_pylist():
-                tables = _read_partition_tables(
-                    store, pid, store.read_manifest(pid), columns=read_cols)
-                if tables:
-                    merged = _merge_partition_tables(tables)
-                    if columns is not None:
-                        merged = merged.select(
-                            [c for c in columns if c in merged.column_names])
+                merged = _live_rows(store, pid, store.read_manifest(pid), schema)
+                if merged is not None:
                     out.append(merged)
-            return _concat_widened(out)
+            return pa.concat_tables(out).select(names)
 
         return rd.from_arrow(pa.table({'pid': pa.array(pids, type=pa.int64())})) \
             .repartition(len(pids)) \
@@ -1542,7 +1552,7 @@ class CDCPipeline:
                  for pid, m in self.store.all_manifests().items() for name in m.dlq]
         if not paths:
             return rd.from_arrow(pa.table({}))
-        return _read_widened(paths, drop=(ERRORS_COLUMN,))
+        return _read_dataset(paths, _widened_schema(paths, drop=(ERRORS_COLUMN,)))
 
     def rejection_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

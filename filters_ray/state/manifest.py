@@ -4,9 +4,10 @@ Layout (design point: 10^10 events, fixed partition count P recorded in the
 table-level meta so replay reshuffles identically — SURVEY.md §4)::
 
     <lake_root>/
-      _meta.json                      # num_partitions, key columns, retention,
-                                      # layout version (3: the manifest
-                                      # names every live file)
+      _meta.json                      # num_partitions, retention, layout
+                                      # version (4), and the lake schema:
+                                      # base64 Arrow IPC of the schema of
+                                      # every base, delta and history file
       _ingest_ledger.json             # files tail() has ingested
       part=<p>/
         base-<v>.parquet              # base rows, sorted by (repo, path),
@@ -48,11 +49,27 @@ file no manifest lists is invisible and is garbage by definition. A base
 and a DLQ file carry the ``commit_version`` that wrote them in their
 names, so no commit renames over a live one.
 :meth:`ManifestStore.commit_partition` is the only code that adds or
-removes any partition file, DLQ files included. Layout version 2 named
-the base ``data.parquet`` and found the DLQ by listing its directory;
-version 1 kept retained history in ``part=<p>/history/``. A lake of
-either does not open: its manifests name neither base nor DLQ, so it is
-rebuilt by replaying its log.
+removes any partition file, DLQ files included.
+
+One lake schema: ``_meta.json`` records the schema every base, delta
+and history file is read under, decided once, at commit. A commit that
+carries rows widens it additively with its batch's schema
+(:meth:`ManifestStore.widen_lake_schema`, under the meta lock) before
+it stages a file, and a non-additive change raises ``ValueError`` there,
+so a conflicting batch leaves every file and manifest as it was. A
+reader reads the schema *after* the manifests whose files it must
+cover: the schema only grows, and always before the commit that
+publishes a file with the new column, so a schema read later covers
+every file those manifests name. A writer that dies between widening
+and its commit leaves a column no file has yet; it reads as null until
+the resumed run commits it. DLQ files hold events as delivered and are
+not under the lake schema. Without ``_meta.json`` (an upsert into a bare
+directory) nothing is recorded and a commit uses its batch's schema.
+
+Layout version 3 had no lake schema; version 2 named the base
+``data.parquet`` and found the DLQ by listing its directory; version 1
+kept retained history in ``part=<p>/history/``. A lake of any of them
+does not open and is rebuilt by replaying its log.
 
 Commit protocol (one for every writer — ingest, redrive and vacuum —
 and idempotent under task retry), an optimistic read → merge →
@@ -94,12 +111,17 @@ one snapshot is both the active delta and the history entry.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
+
+import pyarrow as pa
+
+from .registry import widen_schema
 
 __all__ = [
     'PartitionManifest', 'TableMeta', 'ManifestStore', 'CommitConflictError',
@@ -170,17 +192,19 @@ class PartitionManifest:
 @dataclass
 class TableMeta:
     num_partitions: int
-    key_columns: tuple = ('repo', 'path')
-    lsn_column: str = 'lsn'
-    # Lake layout: 3 names every live file in the manifest; 2 named the
-    # base data.parquet and listed the DLQ directory; 1 kept retained
-    # history apart, under part=<p>/history/.
-    version: int = 3
+    # Lake layout: 4 records the lake schema here; 3 names every live
+    # file in the manifest; 2 named the base data.parquet and listed the
+    # DLQ directory; 1 kept retained history under part=<p>/history/.
+    version: int = 4
     # Whether every commit retains its delta snapshot in history
     # (enables changes()/table_as_of()). Fixed at lake creation: a lake
     # that ever compacted without retention has holes no later flag flip
     # can fill.
     retain_history: bool = False
+    # The lake schema, base64 Arrow IPC: the schema of every base, delta
+    # and history file, widened by each commit that brings a column or a
+    # wider type. None until the first commit with rows.
+    schema: Optional[str] = None
 
 
 class ManifestStore:
@@ -196,18 +220,48 @@ class ManifestStore:
         return os.path.join(self.root, '_meta.json')
 
     def write_meta(self, meta: TableMeta) -> None:
-        payload = asdict(meta)
-        payload['key_columns'] = list(meta.key_columns)
-        _atomic_write_json(self.meta_path(), payload)
+        _atomic_write_json(self.meta_path(), asdict(meta))
 
     def read_meta(self) -> Optional[TableMeta]:
+        """The table meta, None without ``_meta.json``. Keys of older
+        layouts are ignored, so an old lake reads far enough for its
+        ``version`` to refuse it."""
         try:
             with open(self.meta_path()) as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
             return None
-        payload['key_columns'] = tuple(payload['key_columns'])
-        return TableMeta(**payload)
+        return TableMeta(**{f.name: payload[f.name]
+                            for f in fields(TableMeta) if f.name in payload})
+
+    def lake_schema(self) -> Optional[pa.Schema]:
+        """The lake schema ``_meta.json`` records; None without a meta or
+        before the first commit with rows. Read it after the manifests
+        whose files it must cover (see the module docstring)."""
+        meta = self.read_meta()
+        return _decode_schema(meta.schema) if meta and meta.schema else None
+
+    def widen_lake_schema(self, incoming: pa.Schema) -> pa.Schema:
+        """Widen the lake schema additively with ``incoming`` and return
+        it; ``_meta.json`` is rewritten, under the meta lock, only when
+        ``incoming`` brings a column or a wider type. Raises
+        ``ValueError`` on a non-additive change, before the caller stages
+        anything. A writer that dies after this and before its commit
+        leaves a column no file has yet, which reads as null until the
+        resumed run commits it. Without ``_meta.json`` nothing is
+        recorded and the schema is ``incoming``."""
+        with self.meta_lock():
+            meta = self.read_meta()
+            if meta is None:
+                return incoming
+            widened, changes = incoming, True
+            if meta.schema:
+                widened, changes = widen_schema(_decode_schema(meta.schema), incoming)
+            if changes:
+                meta.schema = base64.b64encode(
+                    widened.serialize().to_pybytes()).decode()
+                self.write_meta(meta)
+            return widened
 
     # -- partitions ------------------------------------------------------
 
@@ -335,6 +389,10 @@ class ManifestStore:
             if manifest is not None:
                 out[pid] = manifest
         return out
+
+
+def _decode_schema(encoded: str) -> pa.Schema:
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(encoded)))
 
 
 @contextlib.contextmanager

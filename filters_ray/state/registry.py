@@ -1,8 +1,14 @@
 """Additive schema widening for the lake (SURVEY.md §4 "state" row).
 
-The CDC merge widens schemas in place (``widen_schema`` on every concat of
-base, deltas and batch), so a column added by a later run reads as null on
-earlier rows. Widening rules are additive-only, mirroring FilterMapper's
+The lake has one schema, recorded in ``_meta.json``. Each commit that
+carries rows widens it with its batch's schema (``widen_schema``, through
+``ManifestStore.widen_lake_schema``) before it stages a file, and every
+read of base, delta and history files uses it, so a column added by a
+later run reads as null on earlier rows. A change the rules below reject
+makes that commit raise ``ValueError``: the batch commits nothing, and
+the lake stays readable. Input and DLQ files hold events as delivered
+and are read under their own footers' schemas, widened by the same
+rules. Widening rules are additive-only, mirroring FilterMapper's
 extra/missing-key semantics (reference complex.py:194-241):
 
 * a new column (an "allowed extra key" in validation) is appended as a

@@ -261,8 +261,9 @@ def test_as_dataset_column_pruning(tmp_path):
     """as_dataset() returns the columns of final_table and
     as_dataset(columns=...) exactly the requested columns, on both the
     fast (base-only) and merge-on-read (deltas) paths, with the same rows
-    as final_table; on the fast path a column only a later base has reads
-    as null on the other bases' rows."""
+    as final_table; on both paths a column only one partition's latest
+    file has reads as null on every other row, under final_table's
+    schema."""
     from collections import Counter
 
     import pyarrow.compute as pc
@@ -297,27 +298,30 @@ def test_as_dataset_column_pruning(tmp_path):
     assert sorted(t2['last_lsn']) == sorted(
         final.column('last_lsn').to_pylist())
 
-    # Fast path over bases that differ by an added column: one event with
-    # `branch` rewrites the last partition's base only (compact_every=1).
-    lake3 = CDCPipeline(str(tmp_path / 'added'), num_partitions=4,
-                        compact_every=1)
-    lake3.run(rd.from_arrow(log))
+    # Bases or deltas that differ by an added column: one event with
+    # `branch` rewrites the last partition's base (compact_every=1, fast
+    # path) or adds a delta to it (compact_every=8, merge path).
     path = next(f'added-{i}.txt' for i in range(100) if key_partition(
         pa.array(['org/added']), pa.array([f'added-{i}.txt']), 4)[0] == 3)
-    lake3.run(rd.from_arrow(pa.Table.from_pylist([{
-        'lsn': pc.max(log.column('lsn')).as_py() + 1, 'op': 'insert',
-        'repo': 'org/added', 'path': path, 'commit': 'c' * 40, 'lang': '',
-        'content': 'x', 'branch': 'dev'}])))
-    manifests = lake3.store.all_manifests()
-    assert not any(m.deltas for m in manifests.values())
-    assert all(m.base for m in manifests.values())
-    final = lake3.final_table()
-    assert lake3.as_dataset().schema().names == final.column_names
-    rows = lake3.as_dataset(columns=['repo', 'branch']).take_all()
-    assert all(sorted(r) == ['branch', 'repo'] for r in rows)
-    assert Counter((r['repo'], r['branch']) for r in rows) == Counter(
-        zip(final.column('repo').to_pylist(), final.column('branch').to_pylist()))
-    assert final.column('branch').null_count == final.num_rows - 1
+    for compact_every in (1, 8):
+        lake3 = CDCPipeline(str(tmp_path / f'added-{compact_every}'),
+                            num_partitions=4, compact_every=compact_every)
+        lake3.run(rd.from_arrow(log))
+        lake3.run(rd.from_arrow(pa.Table.from_pylist([{
+            'lsn': pc.max(log.column('lsn')).as_py() + 1, 'op': 'insert',
+            'repo': 'org/added', 'path': path, 'commit': 'c' * 40, 'lang': '',
+            'content': 'x', 'branch': 'dev'}])))
+        manifests = lake3.store.all_manifests()
+        assert all(m.base for m in manifests.values())
+        assert [pid for pid, m in manifests.items() if m.deltas] == (
+            [] if compact_every == 1 else [3])
+        final = lake3.final_table()
+        assert lake3.as_dataset().schema().base_schema == final.schema
+        rows = lake3.as_dataset(columns=['repo', 'branch']).take_all()
+        assert all(sorted(r) == ['branch', 'repo'] for r in rows)
+        assert Counter((r['repo'], r['branch']) for r in rows) == Counter(
+            zip(final.column('repo').to_pylist(), final.column('branch').to_pylist()))
+        assert final.column('branch').null_count == final.num_rows - 1
 
 
 @pytest.mark.usefixtures('ray_session')

@@ -129,6 +129,85 @@ def test_schema_evolution_additive_column(tmp_path):
     assert final_state_digests(table) == oracle.sha256_by_key()
 
 
+def _branch_event(lsn: int, path: str, branch) -> dict:
+    return {'lsn': lsn, 'op': 'insert', 'repo': 'org/r', 'path': path,
+            'commit': 'a' * 40, 'lang': 'py', 'content': f'body {lsn}',
+            'branch': branch}
+
+
+def _path_in(partition: int, num_partitions: int) -> str:
+    from filters_ray.pipelines.cdc import key_partition
+
+    return next(f'f{i}' for i in range(100) if key_partition(
+        pa.array(['org/r']), pa.array([f'f{i}']), num_partitions)[0] == partition)
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('case', ['same_partition_delta', 'two_partitions'])
+def test_type_conflict_is_refused_before_commit(tmp_path, case):
+    """A batch whose `branch` is int64 after the lake recorded it as a
+    string is refused at commit, before any file is staged: the lake
+    schema, every manifest and the table stay as they were, and the next
+    conforming run commits. Before the lake schema, a delta commit
+    (same partition, retained lake) or another partition's commit wrote
+    the int64 file, and every later read raised."""
+    import ray.data as rd
+
+    if case == 'same_partition_delta':
+        pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1,
+                               compact_every=3, retain_history=True)
+        first, refused, later = 'f1', 'f2', 'f3'
+    else:
+        pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=2)
+        first, refused, later = _path_in(0, 2), _path_in(1, 2), _path_in(1, 2)
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+        [_branch_event(1, first, 'main')])))
+    if case == 'same_partition_delta':
+        assert pipeline.store.read_manifest(0).deltas
+
+    def state():
+        return (pipeline.lineage(), pipeline.store.lake_schema(),
+                pipeline.final_table())
+
+    before = state()
+    assert before[1].field('branch').type == pa.string()
+    with pytest.raises(ValueError, match="'branch'"):
+        pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+            [_branch_event(2, refused, 7)])))
+    assert state() == before
+
+    report = pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+        [_branch_event(3, later, 'dev')])))
+    assert report.events_applied == 1
+    table = pipeline.final_table()
+    assert sorted(table.column('branch').to_pylist()) == ['dev', 'main']
+    assert pipeline.store.lake_schema() == before[1]
+
+
+def test_upsert_into_a_directory_without_meta_commits(tmp_path):
+    """``make_upsert_fn`` commits into a bare directory (no _meta.json):
+    the lake schema is each batch's own and nothing is recorded, so a
+    base commit and a delta commit over it both land."""
+    import os
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, make_upsert_fn
+    from filters_ray.state.manifest import ManifestStore
+
+    lake = str(tmp_path / 'bare')
+    log = make_events(SynthConfig(n_keys=20, n_events=120, n_repos=3, seed=3))
+    upsert = make_upsert_fn(lake)
+    stage = CDCValidateStage(num_partitions=1)
+    for a, b in ((0, 60), (60, 120)):
+        summary = upsert(stage(log.slice(a, b - a)))
+        assert summary.column('events_seen').to_pylist() == [b - a]
+    store = ManifestStore(lake)
+    manifest = store.read_manifest(0)
+    assert manifest.base and len(manifest.deltas) == 1
+    assert not os.path.exists(store.meta_path())
+    oracle = replay_oracle(log.to_pylist())
+    assert manifest.rows == len(oracle.sha256_by_key())
+
+
 @pytest.mark.usefixtures('ray_session')
 def test_lineage_manifests(tmp_path, small_log):
     pipeline, _ = run_pipeline(tmp_path / 'lake_lin', small_log)

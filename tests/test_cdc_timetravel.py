@@ -82,23 +82,29 @@ def test_compaction_happened_and_history_retained(history_lake):
 
 
 def test_layout_version_1_lake_with_history_refuses(tmp_path):
-    """Every lake older than layout version 3 refuses to open, rather
+    """Every lake older than layout version 4 refuses to open, rather
     than show an empty lake: version 1 kept retained history under
-    part=<p>/history/, and the manifests of versions 1 and 2 name
-    neither the base (data.parquet) nor the DLQ files."""
-    from filters_ray.state.manifest import ManifestStore, TableMeta
+    part=<p>/history/, the manifests of versions 1 and 2 name neither
+    the base (data.parquet) nor the DLQ files, and the _meta.json of
+    versions 1 to 3 records no lake schema."""
+    import json
 
-    for version in (1, 2):
+    from filters_ray.state.manifest import ManifestStore
+
+    for version in (1, 2, 3):
         for retain_history in (False, True):
             old = ManifestStore(str(tmp_path / f'v{version}-{retain_history}'))
-            old.write_meta(TableMeta(num_partitions=2, version=version,
-                                     retain_history=retain_history))
+            # The _meta.json those versions wrote, keys since dropped included.
+            with open(old.meta_path(), 'w') as fh:
+                json.dump({'key_columns': ['repo', 'path'], 'lsn_column': 'lsn',
+                           'num_partitions': 2, 'retain_history': retain_history,
+                           'version': version}, fh)
             with pytest.raises(ValueError, match='layout-version-'):
                 CDCPipeline(old.root)
             assert old.read_meta().version == version
-    fresh = CDCPipeline(str(tmp_path / 'v3'), num_partitions=2,
+    fresh = CDCPipeline(str(tmp_path / 'v4'), num_partitions=2,
                         retain_history=True)
-    assert fresh.store.read_meta().version == 3
+    assert fresh.store.read_meta().version == 4
 
 
 def test_full_feed_lww_reproduces_live_table(history_lake):

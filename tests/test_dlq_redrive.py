@@ -511,3 +511,39 @@ def test_dlq_schema_widens_across_commits(tmp_path):
     assert pipeline.lookup('org/r', 'f11')['branch'] == 'dev'
     assert pipeline.lookup('org/r', 'f1')['branch'] is None
     assert pipeline.dlq_dataset().count() == 0
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.xfail(strict=True, reason=(
+    'a redrive merges a DLQ event against a base that no longer holds '
+    'the tombstone of its newer delete, so the deleted key comes back'))
+def test_redrive_does_not_resurrect_a_key_deleted_later(tmp_path):
+    """lsn 1 inserts K with a lang the chain rejects (DLQ), lsn 2 deletes
+    K, lsn 3 inserts another key; with compact_every=1 the compaction at
+    lsn 3 drops K's tombstone from the base. A redrive that makes lsn 1
+    valid must still leave K deleted, as the oracle and the lake's own
+    history say."""
+    import ray.data as rd
+
+    from filters_ray.sources.oracle import final_state_digests, replay_oracle
+    from filters_ray.sources.synth import LANGS
+
+    events = [
+        {'lsn': 1, 'op': 'insert', 'repo': 'org/r', 'path': 'K',
+         'commit': 'a' * 40, 'lang': 'klingon', 'content': 'old'},
+        {'lsn': 2, 'op': 'delete', 'repo': 'org/r', 'path': 'K',
+         'commit': 'b' * 40, 'lang': 'py', 'content': ''},
+        {'lsn': 3, 'op': 'insert', 'repo': 'org/r', 'path': 'J',
+         'commit': 'c' * 40, 'lang': 'py', 'content': 'j'},
+    ]
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1,
+                           compact_every=1, retain_history=True)
+    for event in events:
+        pipeline.run(rd.from_arrow(pa.Table.from_pylist([event])))
+    langs = list(LANGS) + ['klingon']
+    assert pipeline.replay_dlq(langs=langs).events_applied == 1
+
+    final = pipeline.final_table()
+    assert final_state_digests(final) == replay_oracle(events, langs).sha256_by_key()
+    assert final.column('path').to_pylist() == (
+        pipeline.table_as_of(3).column('path').to_pylist())

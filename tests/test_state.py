@@ -21,7 +21,6 @@ def test_manifest_roundtrip(tmp_path):
     store.write_meta(TableMeta(num_partitions=16))
     meta = store.read_meta()
     assert meta.num_partitions == 16
-    assert meta.key_columns == ('repo', 'path')
 
     assert store.high_watermark(3) == -1
     manifest = PartitionManifest(
