@@ -137,6 +137,20 @@ def cdc_validator_spec(
     }
 
 
+# The storage plan of the CDC byte-array columns (FIXTURES.md §1), by
+# name: (Parquet encoding, zstd level). ``RLE_DICTIONARY`` means a
+# dictionary page. Measured per column in BASELINE.md ("One storage plan
+# per CDC column"); :func:`_stage` gives the reason for each row.
+CDC_STORAGE_PLAN = {
+    'op': ('RLE_DICTIONARY', 1),
+    'lang': ('RLE_DICTIONARY', 1),
+    'repo': ('DELTA_LENGTH_BYTE_ARRAY', 1),
+    'commit': ('DELTA_LENGTH_BYTE_ARRAY', 1),
+    'path': ('DELTA_LENGTH_BYTE_ARRAY', 7),
+    'content': ('PLAIN', 7),
+}
+
+
 def key_partition(repo: pa.Array, path: pa.Array, num_partitions: int) -> np.ndarray:
     """Deterministic hash partition of the raw (repo, path) key.
 
@@ -515,23 +529,40 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str,
     :meth:`ManifestStore.commit_partition` publishes the tmp file, and
     :func:`_commit_optimistically` removes it when the attempt fails.
 
-    Every lake file is zstd at its default level, and each column gets the
-    encoding that fits its data, by three fixed rules:
+    Every lake file is zstd, and each column has one storage plan,
+    decided once, not per file:
 
-    1. A string or binary column whose distinct count × 4 is at most the
-       file's rows gets a dictionary page (``op``, ``repo``, ``lang``):
-       each value is then stored once, and the rows hold small indices.
-    2. Every other string or binary column is ``DELTA_LENGTH_BYTE_ARRAY``:
-       the lengths are stored apart from the bytes, so zstd's entropy
-       coder sees pure text (40-hex ``commit`` shas compress to about
-       their 20 B/row floor instead of PLAIN's length-prefixed values).
-    3. The ``ARROW:schema`` footer entry is written only when the Parquet
-       schema alone would read back as a different Arrow schema
-       (:func:`_needs_arrow_schema`): ``large_string``, time zones and
-       schema metadata need it; the plain columns of base, delta and DLQ
-       files do not, and on a small file it was over a kilobyte. Nested
-       lists keep Arrow's item name in the Parquet schema, so the DLQ's
-       ``_errors`` reads back as written without the footer.
+    1. Integer columns (``lsn``, ``last_lsn``, an added integer column)
+       are ``DELTA_BINARY_PACKED``: sorted or clustered lsns become small
+       deltas, which zstd packs tighter than PLAIN's 8-byte values.
+    2. The CDC byte-array columns follow :data:`CDC_STORAGE_PLAN`, by
+       name. ``op`` and ``lang`` (a handful of values) get a dictionary
+       page. ``repo`` and ``commit`` are ``DELTA_LENGTH_BYTE_ARRAY`` at
+       zstd level 1: the lengths are stored apart from the bytes, so zstd
+       sees pure text. ``repo`` rows are sorted, so zstd already packs
+       their runs and a dictionary made the column larger; 40-hex
+       ``commit`` shas are random text that compresses to about its
+       20 B/row floor at level 1 and grows at levels 5-12. ``path`` is
+       ``DELTA_LENGTH_BYTE_ARRAY`` and ``content`` PLAIN, both at zstd
+       level 7: their text repeats across rows, which a higher level
+       finds, and ``content`` is 2-4% smaller PLAIN than split.
+    3. Any other string or binary column (a schema-evolution extra such
+       as ``branch``) gets a dictionary page when its distinct count × 4
+       is at most the file's rows, and is ``DELTA_LENGTH_BYTE_ARRAY``
+       otherwise. Only these columns pay for the distinct count.
+
+    A plan entry applies only when the column's type fits its encoding:
+    a DLQ file holds events as delivered, so its ``repo`` may be an
+    integer (rule 1) or its ``lsn`` a string (rule 3). Other columns
+    (the DLQ's ``_errors`` list) are PLAIN at level 1.
+
+    The ``ARROW:schema`` footer entry is written only when the Parquet
+    schema alone would read back as a different Arrow schema
+    (:func:`_needs_arrow_schema`): ``large_string``, time zones and
+    schema metadata need it; the plain columns of base, delta and DLQ
+    files do not, and on a small file it was over a kilobyte. Nested
+    lists keep Arrow's item name in the Parquet schema, so the DLQ's
+    ``_errors`` reads back as written without the footer.
 
     No column chunk carries min/max statistics. Parquet stores them three
     times per chunk (page header, chunk metadata, footer), and they hold
@@ -545,23 +576,36 @@ def _stage(store: ManifestStore, pid: int, table: pa.Table, kind: str,
       range, so key min/max could prune nothing;
     * :func:`_one_batch_source` reads only ``num_rows`` from a footer.
 
-    Parquet records the encodings per column chunk, so readers need no
-    setting, and files written under earlier rules read the same way."""
-    dictionary, split = [], {}
+    Parquet records the encoding and codec per column chunk, so readers
+    need no setting, and files written under earlier rules read the same
+    way."""
+    dictionary, encoding, level = [], {}, {}
     for f in table.schema:
-        if not _is_byte_array(f.type):
-            continue
-        distinct = pc.count_distinct(table.column(f.name), mode='all').as_py()
-        if distinct * 4 <= table.num_rows:
-            dictionary.append(f.name)
-        else:
-            split[f.name] = 'DELTA_LENGTH_BYTE_ARRAY'
+        if pa.types.is_integer(f.type):
+            encoding[f.name] = 'DELTA_BINARY_PACKED'
+        elif _is_byte_array(f.type):
+            plan, level[f.name] = (CDC_STORAGE_PLAN.get(f.name)
+                                   or (_probed_encoding(table.column(f.name)), 1))
+            if plan == 'RLE_DICTIONARY':
+                dictionary.append(f.name)
+            else:
+                encoding[f.name] = plan
     tmp = staged[final] = store.tmp_path(pid, kind=kind)
     footer = _needs_arrow_schema(table.schema.serialize().to_pybytes())
-    pq.write_table(table, tmp, compression='zstd', use_dictionary=dictionary,
-                   column_encoding=split, write_statistics=False,
-                   use_compliant_nested_type=False, store_schema=footer)
+    pq.write_table(table, tmp, compression='zstd', compression_level=level,
+                   use_dictionary=dictionary, column_encoding=encoding,
+                   write_statistics=False, use_compliant_nested_type=False,
+                   store_schema=footer)
     return tmp
+
+
+def _probed_encoding(column: pa.ChunkedArray) -> str:
+    """Rule 3 of :func:`_stage`, for a byte-array column outside the
+    plan: a dictionary page at one distinct value per four rows or
+    fewer, ``DELTA_LENGTH_BYTE_ARRAY`` otherwise."""
+    distinct = pc.count_distinct(column, mode='all').as_py()
+    return ('RLE_DICTIONARY' if distinct * 4 <= len(column)
+            else 'DELTA_LENGTH_BYTE_ARRAY')
 
 
 def _is_byte_array(t: pa.DataType) -> bool:
@@ -1591,10 +1635,15 @@ class CDCPipeline:
 
     def lake_report(self) -> dict:
         """Ops summary of the whole lake from manifests alone (no data
-        files touched): totals, per-partition extremes (skew evidence),
+        file is opened): totals, per-partition extremes (skew evidence),
         delta/compaction, history and DLQ file counts, cumulative
-        rejections."""
-        manifests = self.store.all_manifests()
+        rejections, and the on-disk bytes of every file kind a manifest
+        names. ``lake_bytes`` (bases and active deltas), ``history_bytes``
+        (history files not listed in ``deltas``), ``dlq_bytes`` and
+        ``manifest_bytes``, plus ``_meta.json`` and the tail ledger, are
+        all of the lake's bytes."""
+        store = self.store
+        manifests = store.all_manifests()
         if not manifests:
             return {'partitions': self.num_partitions, 'committed': 0}
         rows = [m.rows for m in manifests.values()]
@@ -1613,6 +1662,14 @@ class CDCPipeline:
             'history_files': int(
                 sum(len(m.history) for m in manifests.values())),
             'dlq_files': int(sum(len(m.dlq) for m in manifests.values())),
+            'history_bytes': sum(
+                os.path.getsize(store.delta_path(pid, name))
+                for pid, m in manifests.items()
+                for name in set(m.history) - set(m.deltas)),
+            'dlq_bytes': sum(os.path.getsize(store.dlq_path(pid, name))
+                             for pid, m in manifests.items() for name in m.dlq),
+            'manifest_bytes': sum(os.path.getsize(store.manifest_path(pid))
+                                  for pid in manifests),
             'events_applied': int(
                 sum(m.events_applied for m in manifests.values())),
             'events_skipped': int(

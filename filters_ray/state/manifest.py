@@ -24,20 +24,25 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # own input columns with their Arrow
                                       # types, plus _errors
 
-Every parquet file above is zstd (default level) without column min/max
-statistics, written to a tmp file by the lake's one writer (``_stage`` in
+Every parquet file above is zstd without column min/max statistics,
+written to a tmp file by the lake's one writer (``_stage`` in
 ``pipelines/cdc.py``). No reader uses statistics: snapshot files are
 pruned by their ``<lo>-<hi>`` names, and every file spans the whole
-hashed key range. A string or binary column gets a dictionary page when
-its distinct count × 4 is at most the file's rows and is
-``DELTA_LENGTH_BYTE_ARRAY`` otherwise, and the ``ARROW:schema`` footer
-entry is written only for a schema that Parquet's own would not read
-back as written. Parquet records codec and encodings per column chunk,
-so readers need no setting and a lake still holding older snappy files,
-files with statistics or PLAIN zstd files with the footer reads as
-before; its partitions move to the current encoding as they compact. A
-manifest's ``bytes`` is the on-disk size of the partition's base plus
-its listed delta files (history-only and DLQ files are not counted).
+hashed key range. Each column has one storage plan: integers are
+``DELTA_BINARY_PACKED``, the CDC byte-array columns take the encoding
+and zstd level ``CDC_STORAGE_PLAN`` names (``pipelines/cdc.py``), any
+other string or binary column gets a dictionary page when its distinct
+count × 4 is at most the file's rows and is ``DELTA_LENGTH_BYTE_ARRAY``
+otherwise, and the ``ARROW:schema`` footer entry is written only for a
+schema that Parquet's own would not read back as written. Parquet
+records codec and encodings per column chunk, so readers need no
+setting and a lake still holding older snappy files, files with
+statistics, PLAIN zstd files with the footer or files of the per-file
+rules before the plan reads as before; its partitions move to the
+current encoding as they compact. A manifest's ``bytes`` is the on-disk
+size of the partition's base plus its listed delta files (history-only
+and DLQ files are not counted). Manifests, ``_meta.json`` and the
+ingest ledger are compact JSON.
 
 One liveness rule: a ``*.parquet`` file in ``part=<p>/`` lives iff the
 committed manifest names it as its ``base`` or lists it in ``deltas``
@@ -422,9 +427,11 @@ def _remove_parquet(directory: str, keep: set) -> int:
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as compact JSON (no spaces after separators:
+    manifests are many small files) and rename it over ``path``."""
     tmp = f'{path}.tmp-{uuid.uuid4().hex[:8]}'
     with open(tmp, 'w') as fh:
-        json.dump(payload, fh, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True, separators=(',', ':'))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

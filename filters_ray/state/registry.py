@@ -14,6 +14,8 @@ extra/missing-key semantics (reference complex.py:194-241):
 * a new column (an "allowed extra key" in validation) is appended as a
   nullable field;
 * integer types widen int8→int16→int32→int64, float32→float64;
+* Arrow's ``null`` type (a column null on every row of a batch) widens
+  to the other type, either way round;
 * anything else (drop, rename, incompatible retype) is rejected —
   such events belong in the DLQ, not the lake.
 """
@@ -32,8 +34,10 @@ _FLOAT_ORDER = ['float', 'double']  # Arrow names for float32/float64
 
 def _widened_type(old: pa.DataType, new: pa.DataType) -> Optional[pa.DataType]:
     """The common widened type, or None if incompatible."""
-    if old.equals(new):
+    if old.equals(new) or pa.types.is_null(new):
         return old
+    if pa.types.is_null(old):
+        return new
     so, sn = str(old), str(new)
     if so in _INT_ORDER and sn in _INT_ORDER:
         return old if _INT_ORDER.index(so) >= _INT_ORDER.index(sn) else new

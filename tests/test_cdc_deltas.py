@@ -330,7 +330,8 @@ def test_lake_report_totals(tmp_path):
 
     cfg = SynthConfig(n_keys=30, n_events=300, n_repos=3, seed=41)
     log = make_events(cfg)
-    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4,
+                           compact_every=1, retain_history=True)
     run = pipeline.run(rd.from_arrow(log))
     report = pipeline.lake_report()
     assert report['lake_rows'] == run.lake_rows
@@ -353,6 +354,17 @@ def test_lake_report_totals(tmp_path):
     assert second.partitions == 1
     assert second.lake_rows == pipeline.lake_report()['lake_rows'] \
         == pipeline.final_table().num_rows == run.lake_rows + 1
+
+    # The byte counts are all of the lake: the touched partition compacted
+    # (a base, history no longer listed in deltas), the others hold deltas.
+    report = pipeline.lake_report()
+    assert report['history_bytes'] > 0 and report['dlq_bytes'] > 0
+    on_disk = sum(os.path.getsize(os.path.join(d, f))
+                  for d, _, files in os.walk(pipeline.lake_root)
+                  for f in files if not f.startswith('.'))
+    assert on_disk == (
+        report['lake_bytes'] + report['history_bytes'] + report['dlq_bytes']
+        + report['manifest_bytes'] + os.path.getsize(pipeline.store.meta_path()))
 
 
 @pytest.mark.usefixtures('ray_session')

@@ -184,6 +184,28 @@ def test_type_conflict_is_refused_before_commit(tmp_path, case):
     assert pipeline.store.lake_schema() == before[1]
 
 
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('order', ['string_first', 'null_first'])
+def test_all_null_extra_column_widens_either_way(tmp_path, order):
+    """A one-event batch whose ``branch`` is None carries the column as
+    Arrow's ``null`` type. It commits into a lake whose ``branch`` is a
+    string, and a lake that first saw it as ``null`` takes a string
+    later; either way the lake schema ends ``branch: string``."""
+    import ray.data as rd
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1,
+                           compact_every=3, retain_history=True)
+    branches = ['main', None] if order == 'string_first' else [None, 'main']
+    for lsn, branch in enumerate(branches, start=1):
+        report = pipeline.run(rd.from_arrow(pa.Table.from_pylist(
+            [_branch_event(lsn, f'f{lsn}', branch)])))
+        assert report.events_applied == 1
+    assert pipeline.store.lake_schema().field('branch').type == pa.string()
+    table = pipeline.final_table()
+    assert table.column('path').to_pylist() == ['f1', 'f2']
+    assert table.column('branch').to_pylist() == branches
+
+
 def test_upsert_into_a_directory_without_meta_commits(tmp_path):
     """``make_upsert_fn`` commits into a bare directory (no _meta.json):
     the lake schema is each batch's own and nothing is recorded, so a

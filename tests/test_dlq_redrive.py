@@ -488,6 +488,48 @@ def test_redrive_keeps_input_types(tmp_path, case):
 
 
 @pytest.mark.usefixtures('ray_session')
+def test_dlq_file_with_off_plan_types(tmp_path):
+    """A DLQ file holds events as delivered, so a column can arrive with a
+    type its storage-plan entry does not fit: ``repo`` as int64 (the plan
+    splits ``repo`` as a byte array) and ``lsn`` as a string. The writer
+    skips those entries, so the file is written (``repo`` delta-packed
+    as an integer, ``lsn`` by the distinct-count rule), and the redrive
+    rewrites the row that stays dead as delivered. The chain's Unicode
+    accepts the integer repo, so the rows that redrive lands hold it as
+    the string ``'7'``."""
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    log = pa.Table.from_pylist([
+        dict(_event(0, 'klingon'), repo=7, lsn='0'),
+        dict(_event(1, 'klingon'), repo=7, lsn='1'),
+        dict(_event(2, 'klingon'), repo=7, lsn='2', commit='not-a-sha'),
+    ])
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    assert pipeline.run(rd.from_arrow(log)).events_applied == 0
+
+    def dlq_encodings() -> dict:
+        (name,) = pipeline.store.read_manifest(0).dlq
+        meta = pq.read_metadata(pipeline.store.dlq_path(0, name))
+        chunks = (meta.row_group(0).column(c) for c in range(meta.num_columns))
+        return {c.path_in_schema: c.encodings for c in chunks}
+
+    encodings = dlq_encodings()
+    assert 'DELTA_BINARY_PACKED' in encodings['repo']
+    assert 'DELTA_LENGTH_BYTE_ARRAY' in encodings['lsn']
+    assert pipeline.dlq_dataset().schema().base_schema == log.schema
+
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redrive.events_applied == 2
+    assert pipeline.lookup('7', 'f1')['last_lsn'] == 1
+    dlq = pipeline.dlq_dataset()
+    assert dlq.schema().base_schema == log.schema
+    assert dlq.take_all() == log.slice(2).to_pylist()
+    assert dlq_encodings() == encodings
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_dlq_schema_widens_across_commits(tmp_path):
     """A column that first appears in a later run's DLQ file is read for
     every DLQ row (null on the earlier rows), and redrive lands it."""
