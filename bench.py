@@ -112,8 +112,8 @@ def run_headline(num_cpus: int) -> dict:
             # comparison must run the identical plan at both levels.
             pipeline = CDCPipeline(
                 lake,
-                num_partitions=int(os.environ.get('GRAFT_BENCH_PARTITIONS', '64')),
-                batch_size=int(os.environ.get('GRAFT_BENCH_BATCH', '131072')),
+                num_partitions=64,
+                batch_size=131072,
             )
             t0 = time.time()
             report = pipeline.run(rd.read_parquet(events_path))

@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.cogroup import hash_bucket_join
+from ..stages.keyhash import hash_keys
 from .text import normalize_for_fingerprint
 
 __all__ = [
@@ -51,11 +52,6 @@ __all__ = [
 ]
 
 _MERSENNE = (1 << 61) - 1
-
-
-def _hash_strings(values: np.ndarray) -> np.ndarray:
-    """Stable vectorized 64-bit hash (SipHash via pandas, fixed key)."""
-    return pd.util.hash_array(values, categorize=False)
 
 
 def _from_pandas(df: pd.DataFrame) -> pa.Table:
@@ -84,13 +80,8 @@ def exact_dedup(ds, column: str = 'text', key: str = 'doc_id',
     """
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(column)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        norm = normalize_for_fingerprint(col)
-        vals = np.asarray(
-            pc.fill_null(norm, '').to_numpy(zero_copy_only=False), dtype=object)
-        bucket = (_hash_strings(vals) % np.uint64(num_buckets)).astype(np.int64)
+        vals = pc.fill_null(normalize_for_fingerprint(batch.column(column)), '')
+        bucket = (hash_keys(vals) % np.uint64(num_buckets)).astype(np.int64)
         return batch.append_column('_hb', pa.array(bucket))
 
     def keep_first(group: pd.DataFrame) -> pa.Table:
@@ -287,17 +278,11 @@ def _dedup_pairs(pairs, num_buckets: int = 64):
         if batch.num_rows == 0:
             return batch.append_column('_pb', pa.array([], type=pa.int64()))
         # Vectorized two-hash mix of the (left, right) key — no per-row
-        # f-string join (VERDICT r2 #7).
-        h_l = pd.util.hash_array(
-            np.asarray(batch.column('left').to_numpy(zero_copy_only=False),
-                       dtype=object),
-            categorize=False,
-        )
-        h_r = pd.util.hash_array(
-            np.asarray(batch.column('right').to_numpy(zero_copy_only=False),
-                       dtype=object),
-            categorize=False,
-        )
+        # f-string join (VERDICT r2 #7). Keys hash as Python objects, so
+        # an integer id hashes as its decimal text.
+        h_l, h_r = (hash_keys(np.asarray(
+            batch.column(c).to_numpy(zero_copy_only=False), dtype=object))
+            for c in ('left', 'right'))
         mixed = (h_l * np.uint64(0x9E3779B97F4A7C15)) ^ h_r
         bucket = (mixed % np.uint64(num_buckets)).astype(np.int64)
         return batch.append_column('_pb', pa.array(bucket))
@@ -527,12 +512,9 @@ def _labels_checksum(labels) -> int:
     """Order/partition-independent digest of a (node, label) Dataset."""
 
     def chk(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch.column('node').to_pylist(), dtype=object)
-        label = np.asarray(batch.column('label').to_pylist(), dtype=object)
-        h = np.bitwise_xor(
-            pd.util.hash_array(node, categorize=False),
-            pd.util.hash_array(label, categorize=False),
-        )
+        node, label = (np.asarray(batch.column(c).to_pylist(), dtype=object)
+                       for c in ('node', 'label'))
+        h = hash_keys(node) ^ hash_keys(label)
         part = int(h.astype(object).sum()) % _CHK_MOD  # exact, no wrap
         return pa.table({'c': pa.array([part], type=pa.int64())})
 
@@ -742,7 +724,7 @@ class SimHashStage:
     def simhash64(tokens: List[str]) -> int:
         if not tokens:
             return 0
-        hashes = pd.util.hash_array(np.array(tokens, dtype=object), categorize=False)
+        hashes = hash_keys(np.array(tokens, dtype=object))
         bits = ((hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1)
         votes = (2 * bits.astype(np.int64) - 1).sum(axis=0)
         return int(''.join('1' if v > 0 else '0' for v in votes[::-1]), 2)
@@ -751,7 +733,7 @@ class SimHashStage:
     _SPAN_TOKENS = 131072
 
     def signatures(self, texts: List[str]) -> np.ndarray:
-        """Vectorized (n,) uint64 SimHash: one ``hash_array`` over all
+        """Vectorized (n,) uint64 SimHash: one ``hash_keys`` over all
         tokens per span, per-doc bit votes via ``add.reduceat`` — no
         per-doc Python hashing loop (VERDICT r1). Bit-for-bit identical
         to :meth:`simhash64`."""
@@ -772,7 +754,7 @@ class SimHashStage:
                 flat = np.array(
                     [tok for i in idx for tok in token_lists[i]], dtype=object,
                 )
-                h = pd.util.hash_array(flat, categorize=False)
+                h = hash_keys(flat)
                 signed = (
                     2 * ((h[:, None] >> bitpos[None, :]) & 1).astype(np.int32) - 1
                 )

@@ -14,9 +14,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..stages.keyhash import hash_keys
 
 __all__ = [
     'LangIdStage',
@@ -102,9 +103,10 @@ def normalize_for_fingerprint(col: pa.Array) -> pa.Array:
 def add_fingerprint(batch: pa.Table, column: str = 'text') -> pa.Table:
     """64-bit content fingerprint over the normalized text.
 
-    Uses pandas' SipHash (`hash_array`, fixed key — stable across
-    processes/nodes) over the normalized string; emitted as hex so the
-    column round-trips everywhere.
+    Uses the engine's key hash (`stages/keyhash.hash_keys`, pandas'
+    SipHash with a fixed key — stable across processes/nodes) over the
+    normalized string; emitted as hex so the column round-trips
+    everywhere.
     """
     col = batch.column(column)
     if isinstance(col, pa.ChunkedArray):
@@ -113,10 +115,7 @@ def add_fingerprint(batch: pa.Table, column: str = 'text') -> pa.Table:
     mask = np.asarray(
         pc.is_null(norm).to_numpy(zero_copy_only=False), dtype=bool,
     )
-    values = np.asarray(
-        pc.fill_null(norm, '').to_numpy(zero_copy_only=False), dtype=object,
-    )
-    hashed = pd.util.hash_array(values, categorize=False)
+    hashed = hash_keys(pc.fill_null(norm, ''))
     # Hex formatting without a per-row Python f-string loop (VERDICT r3
     # #9): np.char.mod formats the whole uint64 vector in C.
     hexes = np.char.mod('%016x', hashed).astype(object)

@@ -15,9 +15,12 @@ block) folded with streamed OR on the driver: driver traffic is
 actor-pool `map_batches` stage that fetches the bitmap once per actor
 (plasma get, zero-copy) in ``__init__``.
 
-Hashing is pandas' SipHash (`pd.util.hash_array`, fixed keys) — stable
-across processes and nodes — with double hashing `h1 + i*h2` for the k
-probe positions, so build and probe agree on any worker.
+Hashing is the engine's key hash (`stages/keyhash.hash_keys`, pandas'
+SipHash with fixed keys) — stable across processes and nodes — with
+double hashing `h1 + i*h2` for the k probe positions, so build and probe
+agree on any worker. `h1` is the default-key hash; for string and bytes
+keys `h2` is the same hash under a second key, and for numeric keys,
+whose hash ignores the key, it is `h1` remixed by splitmix64.
 """
 
 from __future__ import annotations
@@ -26,34 +29,27 @@ import math
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from .keyhash import hash_keys
+from .sketch import _splitmix64
 
 __all__ = ['BloomFilter', 'build_bloom', 'bloom_semi_filter']
 
-_HASH_KEY_1 = '0123456789123456'  # pandas' default
 _HASH_KEY_2 = '6543210987654321'
 
 
 def _hash_pair(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two independent 64-bit hash streams per key (double hashing)."""
-    if keys.dtype == object or keys.dtype.kind in ('U', 'S'):
-        arr = np.asarray(keys, dtype=object)
-        h1 = pd.util.hash_array(arr, hash_key=_HASH_KEY_1, categorize=False)
-        h2 = pd.util.hash_array(arr, hash_key=_HASH_KEY_2, categorize=False)
+    h1 = hash_keys(keys)
+    if keys.dtype.kind in 'OSU':
+        h2 = hash_keys(keys, hash_key=_HASH_KEY_2)
     else:
-        h1 = pd.util.hash_array(keys, hash_key=_HASH_KEY_1)
         # Numeric hashing ignores hash_key (it bit-mixes the values), so
-        # derive the second stream by remixing h1 (splitmix64 finalizer).
-        z = (h1 + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-        z ^= z >> np.uint64(30)
-        z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-        z ^= z >> np.uint64(27)
-        z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-        h2 = z ^ (z >> np.uint64(31))
+        # derive the second stream by remixing h1.
+        h2 = _splitmix64(h1)
     # Odd h2 → full-period stride over a power-of-two bit space.
-    h2 = h2 | np.uint64(1)
-    return h1.astype(np.uint64), h2.astype(np.uint64)
+    return h1, h2 | np.uint64(1)
 
 
 class BloomFilter:
@@ -113,13 +109,6 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         return float(np.unpackbits(self.words.view(np.uint8)).mean())
-
-
-def _column_numpy(batch: pa.Table, column: str) -> np.ndarray:
-    col = batch.column(column)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return col.to_numpy(zero_copy_only=False)
 
 
 MAX_BLOOM_BITS = 1 << 33  # 1 GiB bitmap cap — FPR degrades past the

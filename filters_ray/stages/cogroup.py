@@ -34,6 +34,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .keyhash import hash_keys
+
 __all__ = ['hash_bucket_join']
 
 _KEY = '_cg_k'
@@ -42,26 +44,22 @@ _BUCKET = '_cg_b'
 
 
 def _bucket_of(key: pa.Array, num_buckets: int) -> np.ndarray:
-    """Stable bucket id per key (SipHash via pandas, fixed key).
+    """Stable bucket id per key (the engine's key hash, :func:`hash_keys`).
 
     Numeric keys hash on their native arrays (a nullable int64 column
     must NOT round-trip through float64: 2.0 and 2 hash differently, so
     the two sides of the join would land in different buckets). Null
     keys get an arbitrary-but-deterministic bucket — they never match,
-    they only need a home. Both sides of a join must share the key TYPE
-    (int vs float keys hash differently — same contract as SQL)."""
+    they only need a home. Every other key hashes as Python objects.
+    Both sides of a join must share the key TYPE (int vs float keys hash
+    differently — same contract as SQL)."""
     if pa.types.is_integer(key.type):
-        vals = pc.fill_null(key.cast(pa.int64()), 0) \
-            .to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.ascontiguousarray(vals), categorize=False)
+        key = pc.fill_null(key.cast(pa.int64()), 0)
     elif pa.types.is_floating(key.type):
-        vals = pc.fill_null(key.cast(pa.float64()), 0.0) \
-            .to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.ascontiguousarray(vals), categorize=False)
+        key = pc.fill_null(key.cast(pa.float64()), 0.0)
     else:
-        arr = np.asarray(key.to_numpy(zero_copy_only=False), dtype=object)
-        h = pd.util.hash_array(arr, categorize=False)
-    return (h % np.uint64(num_buckets)).astype(np.int64)
+        key = np.asarray(key.to_numpy(zero_copy_only=False), dtype=object)
+    return (hash_keys(key) % np.uint64(num_buckets)).astype(np.int64)
 
 
 def hash_bucket_join(

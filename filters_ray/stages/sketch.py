@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .keyhash import hash_keys
+
 __all__ = ['hll_sketch', 'hll_merge', 'hll_estimate', 'approx_distinct']
 
 _U = np.uint64
@@ -50,8 +52,9 @@ def _hash_column(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Hash an Arrow column to uint64, dropping nulls.
 
     Integer/float columns hash their 64-bit pattern through splitmix64;
-    everything else goes through ``pandas.util.hash_array`` (vectorized,
-    deterministic) and a final mix.
+    everything else goes through the engine's key hash (``hash_keys``,
+    over the Python objects of ``to_pandas()``: for bool and timestamp
+    columns they hash differently from ``to_numpy()``'s) and a final mix.
     """
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -64,11 +67,7 @@ def _hash_column(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
         # collide every float sharing an integer part.
         vals = col.to_numpy(zero_copy_only=False).astype(np.float64)
         return _splitmix64(vals.view(_U))
-    import pandas as pd
-    raw = pd.util.hash_array(
-        np.asarray(col.to_pandas(), dtype=object), categorize=False,
-    )
-    return _splitmix64(raw)
+    return _splitmix64(hash_keys(np.asarray(col.to_pandas(), dtype=object)))
 
 
 def hll_sketch(hashes: np.ndarray, p: int = 14) -> np.ndarray:

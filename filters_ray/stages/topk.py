@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .keyhash import hash_keys
+
 __all__ = ['grouped_top_k']
 
 _BUCKET = '_tk_b'
@@ -70,14 +72,7 @@ def grouped_top_k(
         df = batch.select(rank_cols).to_pandas()  # RangeIndex = positions
         kept = local_topk(df)
         out = batch.take(pa.array(kept.index.to_numpy()))
-        keys = np.asarray(
-            out.column(key).combine_chunks().to_numpy(zero_copy_only=False),
-        )
-        if keys.dtype == object:
-            h = pd.util.hash_array(keys, categorize=False)
-        else:
-            h = pd.util.hash_array(
-                np.ascontiguousarray(keys), categorize=False)
+        h = hash_keys(out.column(key))
         return out.append_column(
             _BUCKET, pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
         )

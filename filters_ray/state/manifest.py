@@ -80,8 +80,9 @@ Commit protocol (one for every writer — ingest, redrive and vacuum —
 and idempotent under task retry), an optimistic read → merge →
 conditional commit → retry loop, like Delta Lake's log:
 
-1. read the manifest and remember its ``commit_version``; merge without
-   any lock and write every new file as ``<kind>.parquet.tmp-<nonce>``
+1. read the manifest and remember its ``commit_version`` v; merge
+   without any lock and write every new file as
+   ``<kind>.parquet.tmp-<v>-<nonce>``
 2. commit, conditional on that version: under a short lock held only
    around the version check and the publish (the emulated conditional
    put), ``os.replace`` each staged file into place, write
@@ -97,10 +98,15 @@ removes the tmp files it staged (``_commit_optimistically`` in
 ``pipelines/cdc.py``), and files it renamed before dying are unlisted,
 which no reader opens and the next commit or
 :meth:`ManifestStore.sweep` removes. A writer killed outright (SIGKILL)
-gets no such cleanup: its tmp files stay, and no code removes them,
-since tmp names are never swept. On resume, events with
-``lsn <= hwm_lsn`` are dropped before merging, so replaying any suffix (or
-the whole log) reproduces the identical table.
+gets no such cleanup, and the liveness rule reclaims its tmp files: one
+staged against a version below the committed one belongs to an attempt
+that can never commit, so the next commit or sweep removes it, while
+one staged against the committed version may still commit and stays.
+Only the commit lock's holder writes ``manifest.json.tmp-<nonce>``, so
+a commit or sweep, which holds the lock, removes any it finds. On
+resume, events with ``lsn <= hwm_lsn`` are dropped before merging, so
+replaying any suffix (or the whole log) reproduces the identical
+table.
 
 Delta protocol (VERDICT r2 #5 — no full-partition rewrite per
 micro-batch): a run appends one sorted delta file per touched partition
@@ -120,6 +126,7 @@ import base64
 import contextlib
 import json
 import os
+import re
 import uuid
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional
@@ -161,8 +168,10 @@ class PartitionManifest:
     bytes: int              # on-disk size of the base + listed deltas
     sha256: str             # canonical-state digest (chained on delta commits)
     rejected_by_code: Dict[str, int] = field(default_factory=dict)
+    # Lifetime totals over every commit (ingest and redrive) of the
+    # partition: events applied, and duplicates / below-watermark drops.
     events_applied: int = 0
-    events_skipped: int = 0  # duplicates / below-watermark drops
+    events_skipped: int = 0
     # The base file, base-<v>.parquet (v: the commit_version that wrote
     # it); None before a partition's first rewrite and after one that
     # left it empty.
@@ -371,17 +380,24 @@ class ManifestStore:
         """The liveness rule, the lake's only removal: a ``*.parquet``
         file in ``part=<p>/`` lives iff ``manifest`` names it as its
         ``base``, a delta or a history entry, and one in ``_dlq/part=<p>/``
-        iff it lists it in ``dlq``. Tmp files end in ``.tmp-<nonce>`` and
-        are never touched."""
+        iff it lists it in ``dlq``. A tmp file staged against a version
+        below ``manifest``'s can never commit and goes too, as does a
+        manifest tmp file (the caller holds the commit lock, the only
+        writer of one); a tmp file staged against ``manifest``'s version
+        is in flight and stays."""
         pid = manifest.partition_id
         live = {manifest.base, *manifest.deltas, *manifest.history}
-        return (_remove_parquet(self.partition_dir(pid), live)
-                + _remove_parquet(self.dlq_dir(pid), set(manifest.dlq)))
+        return (_remove_dead(self.partition_dir(pid), live, manifest.commit_version)
+                + _remove_dead(self.dlq_dir(pid), set(manifest.dlq),
+                               manifest.commit_version))
 
-    def tmp_path(self, pid: int, kind: str = 'data') -> str:
+    def tmp_path(self, pid: int, version: int, kind: str = 'data') -> str:
+        """A unique tmp path in ``part=<p>/`` for a ``kind`` file staged
+        by an attempt that read ``commit_version`` ``version``."""
         os.makedirs(self.partition_dir(pid), exist_ok=True)
         return os.path.join(
-            self.partition_dir(pid), f'{kind}.parquet.tmp-{uuid.uuid4().hex[:8]}',
+            self.partition_dir(pid),
+            f'{kind}.parquet.tmp-{version}-{uuid.uuid4().hex[:8]}',
         )
 
     def all_manifests(self) -> Dict[int, PartitionManifest]:
@@ -416,14 +432,28 @@ def _flock(directory: str, name: str):
         os.close(fd)
 
 
-def _remove_parquet(directory: str, keep: set) -> int:
+_STAGED_TMP = re.compile(r'\.parquet\.tmp-(\d+)-[0-9a-f]+$')
+
+
+def _remove_dead(directory: str, keep: set, version: int) -> int:
     """Remove every ``*.parquet`` file in ``directory`` whose name is not
-    in ``keep``; returns the number removed."""
+    in ``keep``, every tmp file staged against a version below
+    ``version`` and every manifest tmp file; returns the number
+    removed. A doomed attempt may remove its own tmp file meanwhile."""
     names = os.listdir(directory) if os.path.isdir(directory) else []
-    dead = [n for n in names if n.endswith('.parquet') and n not in keep]
+    dead = [n for n in names if _is_dead(n, keep, version)]
     for name in dead:
-        os.remove(os.path.join(directory, name))
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, name))
     return len(dead)
+
+
+def _is_dead(name: str, keep: set, version: int) -> bool:
+    if name.endswith('.parquet'):
+        return name not in keep
+    staged = _STAGED_TMP.search(name)
+    return (int(staged.group(1)) < version if staged
+            else name.startswith('manifest.json.tmp-'))
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:

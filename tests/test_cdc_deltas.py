@@ -354,6 +354,13 @@ def test_lake_report_totals(tmp_path):
     assert second.partitions == 1
     assert second.lake_rows == pipeline.lake_report()['lake_rows'] \
         == pipeline.final_table().num_rows == run.lake_rows + 1
+    # The manifests keep lifetime totals; each run reports only itself.
+    totals = pipeline.lake_report()
+    assert totals['events_applied'] == run.events_applied + 1 == (
+        run.events_applied + second.events_applied)
+    assert totals['events_skipped'] == run.events_skipped + second.events_skipped
+    assert second.rejected_by_code == {}
+    assert totals['rejected_by_code'] == run.rejected_by_code
 
     # The byte counts are all of the lake: the touched partition compacted
     # (a base, history no longer listed in deltas), the others hold deltas.

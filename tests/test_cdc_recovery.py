@@ -44,13 +44,17 @@ def test_lost_partition_rebuilt_by_replay(tmp_path):
     # Replay the full log (the retry path): untouched partitions drop
     # everything via their watermark; the victim rebuilds from scratch.
     pipeline2 = CDCPipeline(lake, num_partitions=8)
+    applied_before = {m['partition_id']: m['events_applied']
+                      for m in pipeline2.lineage()}
     report = pipeline2.run(rd.from_arrow(log))
 
     assert final_state_digests(pipeline2.final_table()) == oracle.sha256_by_key()
     assert pipeline2.rejection_counts() == oracle.rejected_by_code
-    # Only the victim partition re-applied anything.
+    # Only the victim partition re-applied anything: the manifests'
+    # lifetime counters moved for no other partition.
     applied_parts = [
-        m for m in pipeline2.lineage() if m['events_applied'] > 0
+        m for m in pipeline2.lineage()
+        if m['events_applied'] > applied_before.get(m['partition_id'], 0)
     ]
     assert {m['partition_id'] for m in applied_parts} <= {victim}
 

@@ -144,6 +144,44 @@ def test_cdc_directory_tail(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
+def test_tail_reports_each_rejection_once(tmp_path, monkeypatch):
+    """One ``tail()`` call that commits two batches, each of one valid
+    and one ``lang='klingon'`` event, into a 1-partition lake reports
+    each rejection once, as the lake holds them, and the lake's
+    lifetime counters include both applied events."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    def batch(lsn: int) -> pa.Table:
+        return pa.Table.from_pylist([
+            {'lsn': lsn + i, 'op': 'insert', 'repo': 'org/r', 'path': f'f{lsn + i}',
+             'commit': 'a' * 40, 'lang': lang, 'content': 'x'}
+            for i, lang in enumerate(('py', 'klingon'))])
+
+    events_dir = tmp_path / 'incoming'
+    events_dir.mkdir()
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    pq.write_table(batch(1), events_dir / 'wal-0000.parquet')
+    second = events_dir / 'wal-0001.parquet'
+    run = pipeline.run
+
+    def run_then_arrive(paths):
+        report = run(paths)
+        if not os.path.exists(second):  # arrives while the first commits
+            pq.write_table(batch(3), second)
+        return report
+
+    monkeypatch.setattr(pipeline, 'run', run_then_arrive)
+    report = pipeline.tail(str(events_dir), max_batches=2, poll_interval=0.01,
+                           idle_timeout=10)
+    assert (report.events_seen, report.events_applied) == (4, 2)
+    assert report.rejected_by_code == pipeline.rejection_counts() == {
+        'not_valid_choice': 2}
+    assert pipeline.lake_report()['events_applied'] == 2
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_tail_with_retained_history_serves_cdf(tmp_path):
     """The streaming shape end-to-end: directory tailing into a
     retained-history lake; the change-data-feed covers every applied

@@ -41,7 +41,7 @@ def test_commit_is_atomic_data_then_manifest(tmp_path):
     store.write_meta(TableMeta(num_partitions=4))
     table = pa.table({'repo': ['r'], 'path': ['p'], 'content': ['x'],
                       'last_lsn': [1]})
-    tmp = store.tmp_path(0)
+    tmp = store.tmp_path(0, 0)
     pq.write_table(table, tmp)
     base = store.delta_path(0, 'base-1.parquet')
     store.commit_partition(
@@ -115,7 +115,7 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
 
     winner = pa.table({'repo': ['r'], 'path': ['p'], 'content': ['w'],
                        'last_lsn': [2]})
-    tmp = store.tmp_path(0)
+    tmp = store.tmp_path(0, 0)
     pq.write_table(winner, tmp)
     base = store.delta_path(0, 'base-1.parquet')
     store.commit_partition(_m(0, 2, 'w', base='base-1.parquet'), {base: tmp},
@@ -123,7 +123,7 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
 
     loser = pa.table({'repo': ['r'], 'path': ['p'], 'content': ['l'],
                       'last_lsn': [1]})
-    tmp2 = store.tmp_path(0)
+    tmp2 = store.tmp_path(0, 0)
     pq.write_table(loser, tmp2)
     with pytest.raises(CommitConflictError):
         store.commit_partition(_m(0, 1, 'l', base='base-1.parquet'), {base: tmp2},
@@ -131,6 +131,38 @@ def test_cas_conflict_reclaims_staged_data(tmp_path):
     assert not os.path.exists(tmp2)
     got = pq.read_table(store.delta_path(0, store.read_manifest(0).base))
     assert got.column('content').to_pylist() == ['w']
+
+
+def test_commit_reclaims_a_killed_writers_tmp_files(tmp_path):
+    """A writer killed after staging (SIGKILL: no cleanup runs) leaves
+    its tmp file, named after the ``commit_version`` it read. Once the
+    partition commits past that version the writer can never commit, so
+    the commit removes the file. A tmp file staged against the committed
+    version may still commit: ``sweep`` keeps it. A manifest tmp file
+    has only the commit lock's holder as its writer, so any is debris."""
+    store = ManifestStore(str(tmp_path))
+    store.write_meta(TableMeta(num_partitions=4))
+    store.commit_partition(_m(0, 1, 'v1'), None, expected_version=0)
+
+    killed = store.tmp_path(0, 1, kind='delta')
+    open(killed, 'wb').write(b'torn')
+    manifest_tmp = store.manifest_path(0) + '.tmp-0badf00d'
+    open(manifest_tmp, 'w').write('{"torn"')
+    assert store.sweep(0) == 1
+    assert os.path.exists(killed) and not os.path.exists(manifest_tmp)
+
+    store.commit_partition(_m(0, 2, 'v2'), None, expected_version=1)
+    assert not os.path.exists(killed)
+
+    in_flight = store.tmp_path(0, 2)
+    open(in_flight, 'wb').write(b'staging')
+    assert store.sweep(0) == 0
+    assert os.path.exists(in_flight)
+    store.commit_partition(_m(0, 3, 'v3', base='base-3.parquet'),
+                           {store.delta_path(0, 'base-3.parquet'): in_flight},
+                           expected_version=2)
+    assert sorted(f for f in os.listdir(store.partition_dir(0))
+                  if not f.startswith('.')) == ['base-3.parquet', 'manifest.json']
 
 
 def test_commit_conflict_error_pickles():
