@@ -58,7 +58,11 @@ Scale design (SURVEY.md §4):
   before the commit stages a file, a non-additive change is refused
   there with ``ValueError``, and every read of base, delta and history
   files uses it (:func:`_lake_schema`), so a column added later reads as
-  null on older rows.
+  null on older rows. Events as delivered are combined by one looser
+  rule before validation, Arrow's permissive promotion
+  (:data:`_DELIVERED`): input files, DLQ files and a materialized
+  dataset's blocks alike, while a lazy dataset's validated blocks, flat
+  columns only, meet in Ray's exchange.
 * **Content bytes preserved** — ``content`` goes through
   ``ByteString(normalize=False)`` only (no normalizing Unicode), keeping
   ``sha256(content)`` invariant per ``(repo, path)``.
@@ -88,13 +92,13 @@ from ..state.manifest import (
     TableMeta,
     _atomic_write_json,
 )
-from ..state.registry import align_table, widen_schema
+from ..state.registry import align_table
 from ..stages.keyhash import hash_keys
 from ..stages.validate import (
     ERRORS_COLUMN,
-    ORIGINAL_COLUMN,
     RecordValidator,
     dlq_rows,
+    is_payload,
 )
 from ..vector.kernels import _as_bool_ndarray
 
@@ -167,8 +171,10 @@ class CDCValidateStage:
     """map_batches callable: validation + partition/raw-lsn assignment.
 
     Compiles the chain set once per actor (``__init__``), then per batch:
-    computes ``_part`` and ``_raw_lsn`` from the *raw* columns (errored
-    rows must still route deterministically), then validates.
+    validates, then computes ``_part`` and ``_raw_lsn`` from the
+    validated columns, falling back to the raw ones where validation
+    rejected a value (errored rows must still route and deduplicate
+    deterministically).
     """
 
     def __init__(
@@ -183,13 +189,15 @@ class CDCValidateStage:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        raw_lsn = batch.column('lsn').combine_chunks()
-        if not pa.types.is_integer(raw_lsn.type):
-            raw_lsn = pa.nulls(batch.num_rows, type=pa.int64())
-        elif raw_lsn.type != pa.int64():
-            raw_lsn = raw_lsn.cast(pa.int64())
-
+        delivered = batch.column('lsn').combine_chunks()
         out = self.validator.validate_table(batch)
+        # The event identity: the lsn chain's value where it accepts the
+        # row's lsn (a string '12' is event 12, as it lands in the lake),
+        # else the delivered lsn if it is an integer (a negative one is
+        # corrupt, and must stay visible as such).
+        raw_lsn = out.column('lsn').combine_chunks().cast(pa.int64())
+        if pa.types.is_integer(delivered.type):
+            raw_lsn = pc.coalesce(raw_lsn, delivered.cast(pa.int64()))
 
         # Partition on the VALIDATED key (Strip may canonicalize `repo`;
         # two raw spellings of one key must land in one partition), falling
@@ -264,7 +272,7 @@ class RunReport:
     def merge_row(self, row: dict) -> None:
         """Fold in one partition's summary row."""
         self._count(row['events_seen'], row['events_applied'],
-                    row['events_skipped'], json.loads(row['rejected_by_code']))
+                    row['events_skipped'], dict(row['rejected_by_code']))
         self.partitions += 1
 
     def add(self, later: 'RunReport') -> None:
@@ -293,18 +301,15 @@ _SUMMARY_SCHEMA = {
     'events_seen': pa.int64(),
     'events_applied': pa.int64(),
     'events_skipped': pa.int64(),
-    'rejected_by_code': pa.string(),
+    'rejected_by_code': pa.map_(pa.string(), pa.int64()),
 }
 
 
 def _summary_row(pid, seen, applied, skipped, rejected) -> pa.Table:
-    return pa.table({
-        'partition_id': pa.array([pid], type=pa.int64()),
-        'events_seen': pa.array([seen], type=pa.int64()),
-        'events_applied': pa.array([applied], type=pa.int64()),
-        'events_skipped': pa.array([skipped], type=pa.int64()),
-        'rejected_by_code': pa.array([json.dumps(rejected, sort_keys=True)]),
-    })
+    return pa.Table.from_pylist([{
+        'partition_id': pid, 'events_seen': seen, 'events_applied': applied,
+        'events_skipped': skipped, 'rejected_by_code': sorted(rejected.items()),
+    }], schema=pa.schema(_SUMMARY_SCHEMA))
 
 
 def _dlq_counts(table: pa.Table) -> Dict[str, int]:
@@ -401,17 +406,25 @@ def _drop_tombstones(latest: pa.Table) -> pa.Table:
     )
 
 
+# How the engine combines events as delivered whose schemas differ (input
+# files, DLQ files, a materialized dataset's blocks): Arrow's permissive
+# promotion. A column some part lacks is added, null there; int32 and
+# int64 give int64, string and binary give binary; int64 and string are
+# refused (``ArrowTypeError``). The lake's own, stricter rule is applied
+# at commit (``ManifestStore.widen_lake_schema``).
+_DELIVERED = 'permissive'
+
+
 def _widened_schema(paths: List[str], drop: Iterable[str] = ()) -> pa.Schema:
     """The schema of events as delivered, in input files and DLQ files:
-    their footers' schemas widened across them, minus ``drop``. First-
-    fragment schema inference can drop later-added columns (ADVICE r3),
-    so the readers get this schema explicitly and null-fill the columns
-    a file lacks. Lake files never need it: they are read under
+    their footers' schemas unified under :data:`_DELIVERED`, minus
+    ``drop``. First-fragment schema inference can drop later-added
+    columns (ADVICE r3), so the readers get this schema explicitly: a
+    column a file lacks reads as null, and a file's narrower type is cast
+    to the unified one. Lake files never need it: they are read under
     :func:`_lake_schema`."""
-    schema = None
-    for p in paths:
-        s = pq.read_schema(p).remove_metadata()
-        schema = s if schema is None else widen_schema(schema, s)[0]
+    schema = pa.unify_schemas([pq.read_schema(p).remove_metadata() for p in paths],
+                              promote_options=_DELIVERED)
     for name in drop:
         schema = schema.remove(schema.get_field_index(name))
     return schema
@@ -809,7 +822,7 @@ def make_upsert_fn(lake_root: str, compact_every: int = 8,
 
     def upsert_partition(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return pa.table({k: pa.array([], type=v) for k, v in _SUMMARY_SCHEMA.items()})
+            return pa.schema(_SUMMARY_SCHEMA).empty_table()
         store = ManifestStore(lake_root)
         pid = int(group.column(PART_COLUMN)[0].as_py())
         return _commit_optimistically(pid, lambda staged: _apply_partition(
@@ -883,9 +896,8 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     rejected = dict(counts) if redrive else _add_counts(last.rejected_by_code, counts)
 
     incoming = clean.drop_columns([
-        c for c in (ERRORS_COLUMN, ORIGINAL_COLUMN, PART_COLUMN, RAW_LSN_COLUMN)
-        if c in clean.column_names
-    ])
+        c for c in clean.column_names
+        if c in (ERRORS_COLUMN, PART_COLUMN, RAW_LSN_COLUMN) or is_payload(c)])
     incoming = incoming.rename_columns([
         'last_lsn' if c == 'lsn' else c for c in incoming.column_names
     ])
@@ -1060,7 +1072,7 @@ def _commit_task(validate, upsert, cpus: int, paths: List[str],
     if paths:
         batch = _read_files(paths, _widened_schema(paths))
     else:
-        batch = pa.concat_tables(blocks, promote_options='default')
+        batch = pa.concat_tables(blocks, promote_options=_DELIVERED)
     order, ranges = None, []
     if batch.num_rows:  # the plan never calls a UDF on an empty block
         batch = validate(batch)
@@ -1294,9 +1306,13 @@ class CDCPipeline:
     ) -> 'RunReport':
         """Continuously tail ``events_dir`` for NEW event parquet files
         and ingest each batch of arrivals (the binlog/WAL-tail shape).
+        The event files are the ones :meth:`run` reads from a directory
+        (:func:`_parquet_files`), so names starting with ``.`` or ``_``
+        are skipped.
 
         A file-granular ingest ledger (``_ingest_ledger.json`` in the
-        lake root, atomically replaced AFTER each batch commits) skips
+        lake root, keyed by paths relative to ``events_dir``, atomically
+        replaced AFTER each batch commits) skips
         already-processed files; exactly-once does NOT depend on it —
         a crash between commit and ledger write merely re-reads files
         whose events the per-partition watermarks then drop.
@@ -1319,13 +1335,9 @@ class CDCPipeline:
         batches = 0
         last_progress = time.monotonic()
         while True:
-            try:
-                names = sorted(
-                    f for f in os.listdir(events_dir)
-                    if f.endswith('.parquet') and f not in processed
-                )
-            except FileNotFoundError:
-                names = []
+            names = [f for f in (os.path.relpath(p, events_dir)
+                                 for p in _parquet_files(events_dir))
+                     if f not in processed]
             if names:
                 total.add(self.run([os.path.join(events_dir, f) for f in names]))
                 processed.update(names)

@@ -278,11 +278,9 @@ def _dedup_pairs(pairs, num_buckets: int = 64):
         if batch.num_rows == 0:
             return batch.append_column('_pb', pa.array([], type=pa.int64()))
         # Vectorized two-hash mix of the (left, right) key — no per-row
-        # f-string join (VERDICT r2 #7). Keys hash as Python objects, so
-        # an integer id hashes as its decimal text.
-        h_l, h_r = (hash_keys(np.asarray(
-            batch.column(c).to_numpy(zero_copy_only=False), dtype=object))
-            for c in ('left', 'right'))
+        # f-string join (VERDICT r2 #7). An integer id hashes as its
+        # native value.
+        h_l, h_r = (hash_keys(batch.column(c)) for c in ('left', 'right'))
         mixed = (h_l * np.uint64(0x9E3779B97F4A7C15)) ^ h_r
         bucket = (mixed % np.uint64(num_buckets)).astype(np.int64)
         return batch.append_column('_pb', pa.array(bucket))
@@ -512,9 +510,7 @@ def _labels_checksum(labels) -> int:
     """Order/partition-independent digest of a (node, label) Dataset."""
 
     def chk(batch: pa.Table) -> pa.Table:
-        node, label = (np.asarray(batch.column(c).to_pylist(), dtype=object)
-                       for c in ('node', 'label'))
-        h = hash_keys(node) ^ hash_keys(label)
+        h = hash_keys(batch.column('node')) ^ hash_keys(batch.column('label'))
         part = int(h.astype(object).sum()) % _CHK_MOD  # exact, no wrap
         return pa.table({'c': pa.array([part], type=pa.int64())})
 

@@ -7,14 +7,19 @@ reference complex.py:174-383) to every row of a `pyarrow.Table`, producing:
 * transformed columns (chain outputs) for clean rows,
 * an ``_errors`` column ``list<struct<key: string, code: string>>``
   mirroring ``FilterRunner.error_codes`` keyed by dotted path,
-* an ``_original`` struct column holding the batch's own input columns,
-  typed as they arrived, for errored rows only (null on clean rows), so
-  the dead-letter dataset keeps each rejected row exactly as delivered.
+* one ``_original.<col>`` column per input column of the batch, typed
+  as it arrived, holding the errored rows' values (null on clean rows),
+  so the dead-letter dataset keeps each rejected row exactly as
+  delivered.
 
-A dead-letter file (:func:`dlq_rows`) is that struct's fields written as
-ordinary columns, each with its input Arrow type, next to ``_errors``:
-redrive reads it back as the same events it started as, with no per-row
-encode or decode on either side.
+The payload is flat, not one struct, so a validated block has no struct
+column: Ray's exchange null-fills a payload column that only some blocks
+of a lazy dataset have, as it does for an added data column, while it
+cannot align a struct whose fields differ between blocks. A dead-letter
+file (:func:`dlq_rows`) is the
+payload columns renamed back to their input names, each with its input
+Arrow type, next to ``_errors``: redrive reads it back as the same
+events it started as, with no per-row encode or decode on either side.
 
 Chain compilation happens ONCE in ``__init__`` (actor/worker construction
 state — SURVEY.md §3.4); ``__call__`` does per-batch vectorized work only.
@@ -33,17 +38,18 @@ from ..vector import CompiledChain, compile_chain
 
 __all__ = [
     'ERRORS_COLUMN',
-    'ORIGINAL_COLUMN',
+    'ORIGINAL_PREFIX',
     'RecordValidator',
     'RowRule',
     'ValidateStage',
     'dlq_rows',
     'errors_type',
+    'is_payload',
     'split_clean_dlq',
 ]
 
 ERRORS_COLUMN = '_errors'
-ORIGINAL_COLUMN = '_original'
+ORIGINAL_PREFIX = '_original.'
 
 #: A cross-column row rule: table -> [(mask, key, code)]. Used for
 #: conditions one column chain cannot express (e.g. "content required
@@ -111,7 +117,7 @@ class RecordValidator:
 
     def validate_table(self, table: pa.Table) -> pa.Table:
         """Validate/transform a batch; returns mapped columns + allowed
-        extras + ``_errors`` + ``_original``."""
+        extras + ``_errors`` + the ``_original.<col>`` payload."""
         n = table.num_rows
         out_cols: 'dict[str, pa.Array]' = {}
         all_entries: List[Tuple[np.ndarray, str, str]] = []  # (rows, key, code)
@@ -159,7 +165,7 @@ class RecordValidator:
                         all_entries.append((rows, key, code))
 
         out_cols[ERRORS_COLUMN], error_mask = _build_errors_column(n, all_entries)
-        out_cols[ORIGINAL_COLUMN] = _original_column(table, error_mask)
+        out_cols.update(_original_columns(table, error_mask))
         return pa.table(out_cols)
 
 
@@ -194,15 +200,17 @@ def _build_errors_column(
     return col, counts > 0
 
 
-def _original_column(table: pa.Table, error_mask: np.ndarray) -> pa.Array:
-    """The errored rows' own input columns as one struct, null on clean
-    rows: one take whose indices are null on the clean rows."""
-    clean = ~error_mask
-    rows = table.take(pa.array(np.arange(table.num_rows), mask=clean))
-    return pa.StructArray.from_arrays(
-        [c.combine_chunks() for c in rows.columns],
-        names=table.column_names, mask=pa.array(clean),
-    )
+def _original_columns(table: pa.Table, error_mask: np.ndarray) -> Dict[str, pa.Array]:
+    """The errored rows' own input columns as ``_original.<col>``, null on
+    clean rows: one take whose indices are null on the clean rows."""
+    rows = table.take(pa.array(np.arange(table.num_rows), mask=~error_mask))
+    return {ORIGINAL_PREFIX + name: col.combine_chunks()
+            for name, col in zip(table.column_names, rows.columns)}
+
+
+def is_payload(name: str) -> bool:
+    """Whether ``name`` is a column of the ``_original.<col>`` payload."""
+    return name.startswith(ORIGINAL_PREFIX)
 
 
 class ValidateStage:
@@ -222,9 +230,11 @@ class ValidateStage:
 
 def dlq_rows(rejected: pa.Table) -> pa.Table:
     """The dead-letter layout of validated rows that all carry errors: each
-    row's own input columns, with their input types, plus ``_errors``."""
-    return pa.Table.from_struct_array(rejected.column(ORIGINAL_COLUMN)) \
-        .append_column(ERRORS_COLUMN, rejected.column(ERRORS_COLUMN))
+    row's own input columns, with their input names and types, plus
+    ``_errors``."""
+    names = [c for c in rejected.column_names if is_payload(c)]
+    return rejected.select(names + [ERRORS_COLUMN]).rename_columns(
+        [c[len(ORIGINAL_PREFIX):] for c in names] + [ERRORS_COLUMN])
 
 
 def split_clean_dlq(table: pa.Table) -> Tuple[pa.Table, pa.Table]:
@@ -234,7 +244,7 @@ def split_clean_dlq(table: pa.Table) -> Tuple[pa.Table, pa.Table]:
     layout (:func:`dlq_rows`).
     """
     has_errors = pc.greater(pc.list_value_length(table.column(ERRORS_COLUMN)), 0)
-    clean = table.filter(pc.invert(has_errors)).drop_columns(
-        [ERRORS_COLUMN, ORIGINAL_COLUMN],
-    )
+    clean = table.filter(pc.invert(has_errors))
+    clean = clean.drop_columns(
+        [c for c in clean.column_names if c == ERRORS_COLUMN or is_payload(c)])
     return clean, dlq_rows(table.filter(has_errors))

@@ -6,10 +6,14 @@ carries rows widens it with its batch's schema (``widen_schema``, through
 read of base, delta and history files uses it, so a column added by a
 later run reads as null on earlier rows. A change the rules below reject
 makes that commit raise ``ValueError``: the batch commits nothing, and
-the lake stays readable. Input and DLQ files hold events as delivered
-and are read under their own footers' schemas, widened by the same
-rules. Widening rules are additive-only, mirroring FilterMapper's
-extra/missing-key semantics (reference complex.py:194-241):
+the lake stays readable. These rules are the lake's only: events as
+delivered (input files, DLQ files, a materialized dataset's blocks) are
+combined before validation under Arrow's permissive promotion
+(``_DELIVERED`` in :mod:`filters_ray.pipelines.cdc`), which also turns
+string and binary into binary, so validation can judge every event, and
+only what it lets through meets these rules at commit. Widening rules
+are additive-only, mirroring FilterMapper's extra/missing-key semantics
+(reference complex.py:194-241):
 
 * a new column (an "allowed extra key" in validation) is appended as a
   nullable field;

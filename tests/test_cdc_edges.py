@@ -160,3 +160,34 @@ def test_lww_fast_path_matches_sorted_path():
         'op': pa.array([], type=pa.string()),
     })
     assert _last_writer_wins(empty).num_rows == 0
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_string_lsn_log_delivered_twice_is_applied_once(tmp_path):
+    """A log whose ``lsn`` is a string column the lsn chain accepts
+    (``'12'`` is event 12): five inserts and one event with an invalid
+    ``op``. Its event identity is the validated lsn, so a second delivery
+    is dropped by the watermark: it applies nothing, and its rejection
+    is counted and dead-lettered once."""
+    import ray.data as rd
+
+    rows = [{'lsn': str(lsn), 'op': 'insert', 'repo': 'org/r', 'path': f'f{lsn}',
+             'commit': 'a' * 40, 'lang': 'py', 'content': f'body {lsn}'}
+            for lsn in range(1, 6)]
+    rows.append(dict(rows[0], lsn='6', op='bogus', path='f6'))
+    log = pa.Table.from_pylist(rows)
+    assert log.schema.field('lsn').type == pa.string()
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    first = pipeline.run(rd.from_arrow(log))
+    again = pipeline.run(rd.from_arrow(log))
+    assert (first.events_applied, again.events_applied) == (5, 0)
+    assert again.events_skipped == log.num_rows
+    assert (first.rejected_by_code, again.rejected_by_code) == (
+        {'not_valid_choice': 1}, {})
+    manifest = pipeline.store.read_manifest(0)
+    assert manifest.hwm_lsn == 6
+    assert manifest.events_applied == 5
+    assert manifest.dlq == ['dlq-6-6-1.parquet']
+    assert pipeline.rejection_counts() == {'not_valid_choice': 1}
+    assert pipeline.final_table().column('last_lsn').to_pylist() == [1, 2, 3, 4, 5]

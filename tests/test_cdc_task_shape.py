@@ -214,14 +214,11 @@ def test_plan_run_lands_a_column_its_second_file_adds(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
-@pytest.mark.xfail(strict=True, reason=(
-    "the plan's exchange asserts when validate's output blocks differ by "
-    "an added column (Ray's _align_struct_fields raises AssertionError)"))
 def test_plan_run_lands_a_column_a_lazy_datasets_second_file_adds(tmp_path):
     """The caller's own lazy dataset of the same two files: its blocks
     are read file by file, so validate's output blocks differ by
-    ``branch`` (and the ``_original`` struct) at the exchange. The
-    column must still land."""
+    ``branch`` (and its ``_original.branch`` payload) at the exchange.
+    The column must still land."""
     import ray.data as rd
 
     log, _ = write_branch_files(str(tmp_path / 'in'))
@@ -251,3 +248,40 @@ def test_lsn_ties_keep_the_last_delivery(tmp_path, shape):
     table = pipeline.final_table()
     assert table.num_rows == 40
     assert set(table.column('content').to_pylist()) == {b'second'}
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_materialized_blocks_of_mixed_lsn_width_commit_as_their_files(tmp_path):
+    """A materialized dataset whose first block carries ``lsn`` as int32
+    and whose second carries int64 commits the same lake as the two
+    blocks written as parquet files: blocks and files combine under one
+    rule, Arrow's permissive promotion (int32 and int64 give int64). A
+    lazy dataset of the files, which takes the plan, commits it too:
+    validate's flat output meets in Ray's exchange, which promotes the
+    ``_original.lsn`` payload's widths."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    log = make_events(SynthConfig(n_keys=30, n_events=99, n_repos=3, seed=23))
+    cut = log.num_rows // 2
+    narrow = log.slice(0, cut)
+    narrow = narrow.set_column(narrow.schema.get_field_index('lsn'), 'lsn',
+                               narrow.column('lsn').cast(pa.int32()))
+    blocks = [narrow, log.slice(cut)]
+    os.makedirs(tmp_path / 'in')
+    paths = [str(tmp_path / 'in' / f'wal-{i:04d}.parquet') for i in range(2)]
+    for block, path in zip(blocks, paths):
+        pq.write_table(block, path)
+
+    lakes = {}
+    for name, events in (('blocks', rd.from_arrow(blocks)), ('files', paths),
+                         ('lazy', rd.read_parquet(paths))):
+        pipeline = CDCPipeline(str(tmp_path / name), num_partitions=4)
+        report = pipeline.run(events)
+        assert report.events_seen == log.num_rows
+        assert pipeline.last_stats.startswith('Operator 1 validate') == (
+            name != 'lazy')
+        lakes[name] = (report, pipeline.lineage(), pipeline.final_table())
+    assert lakes['blocks'] == lakes['files'] == lakes['lazy']
+    assert final_state_digests(lakes['files'][2]) == \
+        replay_oracle(log.to_pylist()).sha256_by_key()

@@ -144,6 +144,38 @@ def test_cdc_directory_tail(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
+def test_tail_skips_hidden_files_as_run_does(tmp_path):
+    """``tail()`` takes the event files ``run(directory)`` takes: names
+    starting with ``_`` or ``.`` (a writer's temporary or marker files)
+    are not events, and its ledger keys stay the plain file names."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    log = make_events(SynthConfig(n_keys=40, n_events=200, n_repos=4, seed=5))
+    other = make_events(SynthConfig(n_keys=40, n_events=200, n_repos=4, seed=6))
+    events_dir = tmp_path / 'incoming'
+    events_dir.mkdir()
+    pq.write_table(log, events_dir / 'wal-0000.parquet')
+    for hidden in ('_x.parquet', '.x.parquet'):
+        pq.write_table(other, events_dir / hidden)
+
+    tailed = CDCPipeline(str(tmp_path / 'tail'), num_partitions=4)
+    report = tailed.tail(str(events_dir), poll_interval=0.01, idle_timeout=0)
+    assert report.events_seen == log.num_rows
+    ledger = json.loads(open(os.path.join(tailed.lake_root,
+                                          '_ingest_ledger.json')).read())
+    assert ledger == {'files': ['wal-0000.parquet']}
+    assert final_state_digests(tailed.final_table()) == \
+        replay_oracle(log.to_pylist()).sha256_by_key()
+
+    ran = CDCPipeline(str(tmp_path / 'run'), num_partitions=4)
+    assert ran.run(str(events_dir)).events_seen == log.num_rows
+    assert ran.final_table() == tailed.final_table()
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_tail_reports_each_rejection_once(tmp_path, monkeypatch):
     """One ``tail()`` call that commits two batches, each of one valid
     and one ``lang='klingon'`` event, into a 1-partition lake reports

@@ -589,3 +589,36 @@ def test_redrive_does_not_resurrect_a_key_deleted_later(tmp_path):
     assert final_state_digests(final) == replay_oracle(events, langs).sha256_by_key()
     assert final.column('path').to_pylist() == (
         pipeline.table_as_of(3).column('path').to_pylist())
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_dlq_reads_and_redrives_content_delivered_as_string_then_binary(tmp_path):
+    """Two runs deliver ``content`` with different types, a string, then
+    binary bytes, and both events are dead-lettered into one partition
+    for their lang. The DLQ is events as delivered, combined under
+    Arrow's permissive promotion: ``dlq_dataset()`` reads both rows with
+    ``content`` as binary, and the redrive lands both."""
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    string_run = pa.Table.from_pylist([_event(1, 'klingon')])
+    binary_run = pa.Table.from_pylist([_event(2, 'klingon', content=b'body 2')])
+    assert string_run.schema.field('content').type == pa.string()
+    assert binary_run.schema.field('content').type == pa.binary()
+    for log in (string_run, binary_run):
+        pipeline.run(rd.from_arrow(log))
+    assert len(pipeline.store.read_manifest(0).dlq) == 2
+
+    dlq = pipeline.dlq_dataset()
+    assert dlq.schema().base_schema.field('content').type == pa.binary()
+    assert sorted((r['lsn'], r['content']) for r in dlq.take_all()) == [
+        (1, b'body 1'), (2, b'body 2')]
+
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redrive.events_applied == 2
+    assert pipeline.rejection_counts() == {}
+    assert pipeline.dlq_dataset().count() == 0
+    assert {path: pipeline.lookup('org/r', path)['content']
+            for path in ('f1', 'f2')} == {'f1': b'body 1', 'f2': b'body 2'}

@@ -208,26 +208,29 @@ def test_add_fingerprint(kind, nulls):
     pa.array(['d3', 'd1', 'ø', ''], type=pa.large_string()),
 ])
 def test_dedup_pair_and_label_hashes(ids):
-    """``_dedup_pairs`` hashes ``to_numpy`` objects and
-    ``_labels_checksum`` ``to_pylist`` objects: an integer id hashes as
-    its decimal text, not as its native value."""
-    obj = np.asarray(ids.to_numpy(zero_copy_only=False), dtype=object)
-    assert hash_keys(obj).tolist() == _old_object_hash(obj).tolist()
-    listed = np.asarray(ids.to_pylist(), dtype=object)
-    assert hash_keys(listed).tolist() == _old_object_hash(listed).tolist()
+    """``_dedup_pairs`` and ``_labels_checksum`` hash the id column as it
+    is: an integer id as its native value (a deliberate change: it once
+    hashed as its decimal text, through a ``TypeError`` fallback in
+    pandas), text ids as objects, as before."""
+    native = ids.to_numpy(zero_copy_only=False)
     if pa.types.is_integer(ids.type):
-        assert hash_keys(obj).tolist() != hash_keys(ids).tolist()
+        expect = _old_object_hash(native)
+        assert expect.tolist() != _old_object_hash(
+            np.asarray(native, dtype=object)).tolist()
+    else:
+        expect = _old_object_hash(np.asarray(ids.to_pylist(), dtype=object))
+    assert hash_keys(ids).tolist() == expect.tolist()
+    assert hash_keys(_chunked(ids)).tolist() == expect.tolist()
 
 
 def test_dedup_pair_buckets_end_to_end():
-    """The ``_dedup_pairs`` bucket mix over int64 pair ids."""
+    """The ``_dedup_pairs`` bucket mix over int64 pair ids, hashed as
+    native int64."""
     left = pa.array([1, 5, 9, 2**33], type=pa.int64())
     right = pa.array([2, 5, 10, 3], type=pa.int64())
-    old = [_old_object_hash(np.asarray(c.to_numpy(zero_copy_only=False), dtype=object))
-           for c in (left, right)]
-    mixed = (old[0] * np.uint64(0x9E3779B97F4A7C15)) ^ old[1]
-    new = [hash_keys(np.asarray(c.to_numpy(zero_copy_only=False), dtype=object))
-           for c in (left, right)]
+    native = [_old_object_hash(c.to_numpy()) for c in (left, right)]
+    mixed = (native[0] * np.uint64(0x9E3779B97F4A7C15)) ^ native[1]
+    new = [hash_keys(c) for c in (left, right)]
     assert ((new[0] * np.uint64(0x9E3779B97F4A7C15)) ^ new[1]).tolist() == mixed.tolist()
 
 
