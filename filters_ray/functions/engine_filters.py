@@ -46,10 +46,15 @@ class First(BaseFilter):
     # -- vectorized path --------------------------------------------------
 
     def apply_column(self, arr: pa.Array):
-        from ..vector.kernels import KernelResult, ScalarFallbackKernel, _as_bool_ndarray
+        from ..vector.arrays import as_one_array
+        from ..vector.kernels import (
+            KernelResult,
+            ScalarFallbackKernel,
+            _as_bool_ndarray,
+            _nullify,
+        )
 
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_one_array(arr)
         if not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
             return ScalarFallbackKernel(self)(arr)
         n = len(arr)
@@ -62,7 +67,7 @@ class First(BaseFilter):
         offsets = np.asarray(arr.offsets)
         idx = np.where(has_first, offsets[:-1], 0)
         taken = arr.values.take(pa.array(idx, type=pa.int64()))
-        out = pc.if_else(pa.array(has_first), taken, pa.scalar(None, type=taken.type))
+        out = _nullify(taken, ~has_first)
         return KernelResult(out, errors)
 
 
@@ -132,10 +137,10 @@ class Lookup(BaseFilter):
     # -- vectorized path --------------------------------------------------
 
     def apply_column(self, arr: pa.Array):
-        from ..vector.kernels import KernelResult, _as_bool_ndarray
+        from ..vector.arrays import as_one_array
+        from ..vector.kernels import KernelResult, _as_bool_ndarray, _nullify
 
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_one_array(arr)
         keys = list(self.table.keys())
         try:
             key_arr = pa.array(keys, type=arr.type)
@@ -154,7 +159,7 @@ class Lookup(BaseFilter):
         found = _as_bool_ndarray(pc.is_valid(idx), len(arr))
         values_arr = pa.array(list(self.table.values()))
         taken = values_arr.take(pc.fill_null(idx, 0))
-        out = pc.if_else(pa.array(found), taken, pa.scalar(None, type=taken.type))
+        out = _nullify(taken, ~found)
         miss = ~found & _as_bool_ndarray(pc.is_valid(arr), len(arr))
         if self.default is not self._MISSING:
             if miss.any():
@@ -170,6 +175,8 @@ def content_required_rule(
 ) -> 'callable':
     """Vectorized RowRule twin of :class:`ContentRequiredUnlessDelete`."""
 
+    from ..vector.arrays import as_one_array
+
     def rule(table: pa.Table) -> List[Tuple[np.ndarray, str, str]]:
         op = table.column(op_column)
         content = table.column(content_column)
@@ -178,7 +185,7 @@ def content_required_rule(
             pc.is_null(content),
         )
         dense = np.asarray(
-            pc.fill_null(mask, True).combine_chunks().to_numpy(zero_copy_only=False),
+            as_one_array(pc.fill_null(mask, True)).to_numpy(zero_copy_only=False),
             dtype=bool,
         )
         # Rows whose op itself failed validation (null) are already DLQ'd

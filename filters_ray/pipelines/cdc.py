@@ -100,6 +100,7 @@ from ..stages.validate import (
     dlq_rows,
     is_payload,
 )
+from ..vector.arrays import as_one_array, value_offsets
 from ..vector.kernels import _as_bool_ndarray
 
 __all__ = [
@@ -161,8 +162,11 @@ def key_partition(repo: pa.Array, path: pa.Array, num_partitions: int) -> np.nda
 
     Each string column is hashed independently by the engine's key hash
     (:func:`~filters_ray.stages.keyhash.hash_keys`) and the two 64-bit
-    hashes are mixed; no per-row Python string join (VERDICT r1 #9).
+    hashes are mixed; no per-row Python string join (VERDICT r1 #9). Both
+    columns repeat (a repo per row, a path per change), so each is
+    dictionary-encoded first and hashed one distinct value at a time.
     """
+    repo, path = pc.dictionary_encode(repo), pc.dictionary_encode(path)
     mixed = (hash_keys(repo) * np.uint64(0x9E3779B97F4A7C15)) ^ hash_keys(path)
     return (mixed % np.uint64(num_partitions)).astype(np.int64)
 
@@ -189,13 +193,13 @@ class CDCValidateStage:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        delivered = batch.column('lsn').combine_chunks()
+        delivered = _delivered(batch, 'lsn')
         out = self.validator.validate_table(batch)
         # The event identity: the lsn chain's value where it accepts the
         # row's lsn (a string '12' is event 12, as it lands in the lake),
         # else the delivered lsn if it is an integer (a negative one is
         # corrupt, and must stay visible as such).
-        raw_lsn = out.column('lsn').combine_chunks().cast(pa.int64())
+        raw_lsn = as_one_array(out.column('lsn')).cast(pa.int64())
         if pa.types.is_integer(delivered.type):
             raw_lsn = pc.coalesce(raw_lsn, delivered.cast(pa.int64()))
 
@@ -204,8 +208,10 @@ class CDCValidateStage:
         # back to the raw value for rows whose key failed validation (DLQ
         # rows only need a deterministic home).
         def merged_key(name: str) -> pa.Array:
-            validated = out.column(name).combine_chunks()
-            raw = batch.column(name).combine_chunks()
+            validated = as_one_array(out.column(name))
+            if not validated.null_count:
+                return validated
+            raw = _delivered(batch, name)
             if not pa.types.is_string(raw.type):
                 raw = pa.nulls(batch.num_rows, type=pa.string())
             return pc.coalesce(validated, raw)
@@ -218,6 +224,14 @@ class CDCValidateStage:
         # Metadata-bearing schemas are unhashable (dict) and break Ray's
         # schema-dedup fast path at the shuffle — strip before the exchange.
         return out.replace_schema_metadata(None)
+
+
+def _delivered(batch: pa.Table, name: str) -> pa.Array:
+    """A delivered column as one array, all null when the batch lacks it
+    (the validator then rejects every row as ``missing``)."""
+    if name in batch.column_names:
+        return as_one_array(batch.column(name))
+    return pa.nulls(batch.num_rows)
 
 
 # Per-process compiled validators, one per hashable config: compiled
@@ -314,10 +328,7 @@ def _summary_row(pid, seen, applied, skipped, rejected) -> pa.Table:
 
 def _dlq_counts(table: pa.Table) -> Dict[str, int]:
     """Per-code rejection counts, vectorized (list_flatten + value_counts)."""
-    entries = table.column(ERRORS_COLUMN)
-    if isinstance(entries, pa.ChunkedArray):
-        entries = entries.combine_chunks()
-    flat = pc.list_flatten(entries)
+    flat = pc.list_flatten(as_one_array(table.column(ERRORS_COLUMN)))
     if len(flat) == 0:
         return {}
     vc = pc.value_counts(flat.field('code'))
@@ -335,7 +346,7 @@ def _dedup_by_lsn(table: pa.Table) -> pa.Table:
     2^53 collide — so nulls are masked out first and ``np.unique`` runs
     over the exact int64 values of the non-null rows only.
     """
-    col = table.column(RAW_LSN_COLUMN).combine_chunks()
+    col = as_one_array(table.column(RAW_LSN_COLUMN))
     null = _as_bool_ndarray(pc.is_null(col), len(col))
     nn_idx = np.flatnonzero(~null)
     if nn_idx.size == 0:
@@ -363,27 +374,22 @@ def _canonical_digest(table: pa.Table) -> str:
     if table.num_rows:
         as_bin = {}
         for name in ('repo', 'path', 'content'):
-            col = table.column(name).combine_chunks()
+            col = as_one_array(table.column(name))
             if pa.types.is_string(col.type):
                 col = col.cast(pa.binary())
             elif pa.types.is_large_string(col.type) or pa.types.is_large_binary(col.type):
                 col = col.cast(pa.binary())
             as_bin[name] = pc.fill_null(col, b'')
         lsn_bin = pc.fill_null(
-            table.column('last_lsn').combine_chunks().cast(pa.string()), 'None',
+            as_one_array(table.column('last_lsn')).cast(pa.string()), 'None',
         ).cast(pa.binary())
         joined = pc.binary_join_element_wise(
             as_bin['repo'], b'\x00', as_bin['path'], b'\x00',
             as_bin['content'], lsn_bin, b'\x01', b'',
         )
-        if isinstance(joined, pa.ChunkedArray):
-            joined = joined.combine_chunks()
-        n = len(joined)
-        offs = np.frombuffer(
-            joined.buffers()[1], dtype=np.int32, count=joined.offset + n + 1,
-        )
-        start, end = int(offs[joined.offset]), int(offs[joined.offset + n])
-        h.update(memoryview(joined.buffers()[2])[start:end])
+        joined = as_one_array(joined)
+        offs = value_offsets(joined)
+        h.update(memoryview(joined.buffers()[2])[int(offs[0]):int(offs[-1])])
     return h.hexdigest()
 
 
@@ -511,12 +517,12 @@ def _last_writer_wins(table: pa.Table) -> pa.Table:
     if table.num_rows == 0:
         return table
     repo_idx, path_idx = (
-        pc.dictionary_encode(table.column(name).combine_chunks())
+        pc.dictionary_encode(as_one_array(table.column(name)))
         .indices.to_numpy().astype(np.int64)
         for name in ('repo', 'path'))
     combined = (repo_idx << np.int64(32)) | path_idx  # exact key id
     lsn_np = np.asarray(
-        table.column('last_lsn').combine_chunks().cast(pa.int64())
+        as_one_array(table.column('last_lsn')).cast(pa.int64())
         .to_numpy(zero_copy_only=False), dtype=np.int64,
     )
     order = np.lexsort((lsn_np, combined))
@@ -694,7 +700,7 @@ def _account_dlq(dlq: pa.Table, corrupt: List[int]) -> tuple:
     skipped. Returns ``(countable rows, the commit's counts, corrupt
     lsns)``: the countable rows are the ones the commit's DLQ file holds,
     so a re-delivered corrupt event is stored once, as it is counted."""
-    lsn = dlq.column(RAW_LSN_COLUMN).combine_chunks()
+    lsn = as_one_array(dlq.column(RAW_LSN_COLUMN))
     negative = pc.fill_null(pc.less(lsn, 0), False)
     countable = dlq
     if corrupt:

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 
 from ..functions import base as fbase
 from ..vector import CompiledChain, compile_chain
+from ..vector.arrays import as_one_array
 
 __all__ = [
     'ERRORS_COLUMN',
@@ -134,10 +135,7 @@ class RecordValidator:
                 continue
 
             if compiled is None:
-                out_cols[col] = (
-                    source.combine_chunks()
-                    if isinstance(source, pa.ChunkedArray) else source
-                )
+                out_cols[col] = as_one_array(source)
                 continue
 
             values, errors = compiled.apply_column(source)
@@ -150,7 +148,7 @@ class RecordValidator:
         extras = sorted(set(table.column_names) - set(self.filter_map))
         for col in extras:
             if self._extra_ok(col):
-                out_cols[col] = table.column(col).combine_chunks()
+                out_cols[col] = as_one_array(table.column(col))
             else:
                 all_entries.append((np.arange(n), col, 'unexpected'))
                 # Rejected extras are dropped from the output.
@@ -204,7 +202,7 @@ def _original_columns(table: pa.Table, error_mask: np.ndarray) -> Dict[str, pa.A
     """The errored rows' own input columns as ``_original.<col>``, null on
     clean rows: one take whose indices are null on the clean rows."""
     rows = table.take(pa.array(np.arange(table.num_rows), mask=~error_mask))
-    return {ORIGINAL_PREFIX + name: col.combine_chunks()
+    return {ORIGINAL_PREFIX + name: as_one_array(col)
             for name, col in zip(table.column_names, rows.columns)}
 
 

@@ -13,14 +13,24 @@ SURVEY.md §3.4), apply per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import base as fbase
-from .kernels import KernelResult, make_kernel
+from ..functions import string as fstring
+from ..functions.engine_filters import First
+from .arrays import as_one_array, value_offsets, with_validity
+from .kernels import (
+    KernelResult,
+    ScalarFallbackKernel,
+    _nullify,
+    fused_regex_first,
+    make_kernel,
+    printable_rows,
+)
 
 __all__ = ['ColumnErrors', 'CompiledChain', 'compile_chain']
 
@@ -88,8 +98,6 @@ class CompiledChain:
         # the documented output-representation erasure, not a semantic
         # change.
         from ..functions import number as fnumber
-        from ..functions import string as fstring
-        from .kernels import ScalarFallbackKernel
 
         object_bearing = (fstring.Uuid, fnumber.Decimal, fnumber.Round)
         if any(isinstance(m, object_bearing) for m in members[:-1]):
@@ -99,42 +107,57 @@ class CompiledChain:
         else:
             self._members = members
             self._kernels = [make_kernel(m) for m in members]
+        self._steps = self._plan()
         self._scalar_fallbacks: dict = {}
+
+    def _plan(self) -> List[Tuple[Callable, Tuple[int, ...]]]:
+        """The chain as steps ``(kernel, member indices)``: one member
+        each, except an anchored ``Regex | First``, which runs as one
+        kernel (:func:`~filters_ray.vector.kernels.fused_regex_first`)."""
+        steps, i, m = [], 0, self._members
+        while i < len(m):
+            fused = (fused_regex_first(m[i])
+                     if i + 1 < len(m) and type(m[i]) is fstring.Regex
+                     and type(m[i + 1]) is First else None)
+            if fused is not None:
+                steps.append((fused, (i, i + 1)))
+                i += 2
+            else:
+                steps.append((self._kernels[i], (i,)))
+                i += 1
+        return steps
 
     def apply_column(self, arr) -> Tuple[pa.Array, ColumnErrors]:
         """Apply the chain to a column; returns (values, errors).
 
         For rows that errored, the returned value is the row's replacement
-        (null, except e.g. MaxBytes truncation).
+        (null, except e.g. MaxBytes truncation). A row no step changes
+        keeps its input bytes: the result shares the input's buffers
+        wherever the chain is the identity on the accepted rows.
         """
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_one_array(arr)
         if pa.types.is_dictionary(arr.type):
             return self._apply_dictionary(arr)
         enc = self._maybe_auto_encode(arr)
         if enc is not None:
             self.dict_fast_path_hits += 1
-            return self._apply_dictionary(enc)
+            return self._apply_dictionary(enc, plain=arr)
         n = len(arr)
         errors = ColumnErrors(n)
         ok = np.ones(n, dtype=bool)
         current = arr
+        probe = _Probe(arr)
         # (mask, values-at-error) pairs to stitch replacements back in.
         frozen: List[Tuple[np.ndarray, pa.Array]] = []
 
-        for ki, kernel in enumerate(self._kernels):
-            try:
-                result: KernelResult = kernel(current)
-            except Exception:  # noqa: BLE001
-                # A vector kernel met a type/shape it cannot handle (e.g.
-                # Max(3) over a string column). The scalar path defines the
-                # semantics for every input — fall back for this batch.
-                fallback = self._scalar_fallbacks.get(ki)
-                if fallback is None:
-                    from .kernels import ScalarFallbackKernel
-                    fallback = ScalarFallbackKernel(self._members[ki])
-                    self._scalar_fallbacks[ki] = fallback
-                result = fallback(current)
+        steps = list(self._steps)
+        while steps:
+            kernel, members = steps.pop(0)
+            result = self._run_step(kernel, members, current, probe)
+            if result is None:
+                # A fused step off its fast path: run its members instead.
+                steps[:0] = [(self._kernels[k], (k,)) for k in members]
+                continue
             newly = np.zeros(n, dtype=bool)
             for mask, code, subkey in result.errors:
                 effective = mask & ok
@@ -148,6 +171,25 @@ class CompiledChain:
                 break
 
         return self._stitch(current, frozen, n), errors
+
+    def _run_step(self, kernel: Callable, members: Tuple[int, ...],
+                  current: pa.Array, probe: '_Probe') -> Optional[KernelResult]:
+        try:
+            if getattr(kernel, 'probes', False):
+                return kernel(current, probe.rows(current))
+            return kernel(current)
+        except Exception:  # noqa: BLE001
+            if len(members) > 1:
+                return None
+            # A vector kernel met a type/shape it cannot handle (e.g.
+            # Max(3) over a string column). The scalar path defines the
+            # semantics for every input — fall back for this batch.
+            ki = members[0]
+            fallback = self._scalar_fallbacks.get(ki)
+            if fallback is None:
+                fallback = ScalarFallbackKernel(self._members[ki])
+                self._scalar_fallbacks[ki] = fallback
+            return fallback(current)
 
     # Auto-encode gate (VERDICT r4 #8): parquet readers decode dictionary
     # pages back to plain strings, so the dictionary fast path was
@@ -180,7 +222,7 @@ class CompiledChain:
             return None
         return enc
 
-    def _apply_dictionary(self, arr: pa.DictionaryArray):
+    def _apply_dictionary(self, arr: pa.DictionaryArray, plain: Optional[pa.Array] = None):
         """Dictionary fast path (VERDICT r3 #7): run the chain ONCE over
         the dictionary's unique values (plus one null sentinel standing
         in for every null row — chains are per-value, so the null
@@ -189,7 +231,10 @@ class CompiledChain:
         gathers — the win on low-cardinality string columns (repo/lang
         in the CDC schema). Semantics are identical to applying the
         chain to the decoded column (parity-tested in test_vector.py):
-        the scalar side sees decoded Python values either way."""
+        the scalar side sees decoded Python values either way. When
+        ``plain`` (the decoded column) is given and the chain changed no
+        value, only nulled some, the result is ``plain`` under a new
+        validity bitmap instead of a gathered copy."""
         n = len(arr)
         vals = arr.dictionary
         sentinel = len(vals)
@@ -198,7 +243,9 @@ class CompiledChain:
 
         idx = pc.fill_null(arr.indices, sentinel).cast(pa.int64())
         idx_np = np.asarray(idx.to_numpy(zero_copy_only=False), dtype=np.int64)
-        out = out_vals.take(idx)
+        valid = None if plain is None else _kept_rows(plain, vals_plus, out_vals)
+        out = (out_vals.take(idx) if valid is None
+               else with_validity(plain, valid[idx_np]))
 
         errors = ColumnErrors(n)
         for rows, code, subkey in val_errors.entries:
@@ -224,9 +271,7 @@ class CompiledChain:
             # fallback below cost 0.4s/batch on the CDC commit chain).
             masked_vals = vals.filter(pa.array(mask))
             if masked_vals.null_count == len(masked_vals):
-                out = pc.if_else(
-                    pa.array(~mask), out, pa.scalar(None, type=out.type),
-                )
+                out = _nullify(out, mask)
                 continue
             if vals.type != out.type:
                 # A binary↔string cast would silently re-type the
@@ -262,6 +307,63 @@ class CompiledChain:
                     out_py[i] = vals_py[i]
                 out = pa.array(out_py, type=out.type)
         return out
+
+
+class _Probe:
+    """One column's :func:`~filters_ray.vector.kernels.printable_rows`,
+    computed on first use and shared by the chain's steps while their
+    values are the column's own bytes (the same offset and data buffers;
+    a step that only nulls rows keeps them)."""
+
+    def __init__(self, arr: pa.Array) -> None:
+        self._arr = arr
+        self._rows: Optional[np.ndarray] = None
+
+    def rows(self, values: pa.Array) -> Optional[np.ndarray]:
+        """The probe for ``values``, or None when they are other bytes."""
+        if not _same_strings(values, self._arr):
+            return None
+        if self._rows is None:
+            self._rows = printable_rows(self._arr)
+        return self._rows
+
+
+def _same_strings(a: pa.Array, b: pa.Array) -> bool:
+    """Whether two string arrays are views of the same offsets and bytes."""
+    if not (a.type == b.type and (pa.types.is_string(a.type)
+                                  or pa.types.is_large_string(a.type))):
+        return False
+    if len(a) != len(b) or a.offset != b.offset:
+        return False
+    return all((x is None and y is None) or (x is not None and y is not None
+                                             and x.address == y.address)
+               for x, y in zip(a.buffers()[1:], b.buffers()[1:]))
+
+
+def _kept_rows(plain: pa.Array, before: pa.Array, after: pa.Array) -> Optional[np.ndarray]:
+    """Per dictionary entry, whether a row holding it stays valid, when
+    the chain mapped every entry of ``before`` (the last one the null
+    sentinel) to itself or to null; None when it changed a value. The
+    sentinel may also become the empty string when every null row of
+    ``plain`` already spans no bytes."""
+    if after.type != before.type:
+        return None
+    valid = np.asarray(pc.is_valid(after).to_numpy(zero_copy_only=False), dtype=bool)
+    same = np.asarray(pc.fill_null(pc.equal(after, before), False)
+                      .to_numpy(zero_copy_only=False), dtype=bool)
+    changed = valid & ~same
+    if changed[-1] and (not plain.null_count or (
+            after[-1].as_py() == '' and _null_rows_empty(plain))):
+        changed[-1] = False
+    return None if changed.any() else valid
+
+
+def _null_rows_empty(arr: pa.Array) -> bool:
+    """Whether every null row of a string column spans no bytes."""
+    if not arr.null_count:
+        return True
+    valid = np.asarray(pc.is_valid(arr).to_numpy(zero_copy_only=False), dtype=bool)
+    return not np.diff(value_offsets(arr))[~valid].any()
 
 
 def compile_chain(spec: fbase.FilterCompatible) -> CompiledChain:

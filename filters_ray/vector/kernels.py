@@ -49,6 +49,7 @@ from ..functions import complex as fcomplex  # noqa: F401 (registered fallback)
 from ..functions import number as fnumber
 from ..functions import simple as fsimple
 from ..functions import string as fstring
+from .arrays import as_one_array, has_flat_layout, with_validity
 
 __all__ = ['KernelResult', 'ScalarFallbackKernel', 'make_kernel']
 
@@ -73,9 +74,12 @@ def _null_like(arr: pa.Array) -> pa.Array:
 
 
 def _nullify(arr: pa.Array, mask: np.ndarray) -> pa.Array:
-    """Set masked rows to null."""
+    """Set masked rows to null: a new validity bitmap over the same
+    buffers for flat types, ``if_else`` for nested ones."""
     if not mask.any():
         return arr
+    if has_flat_layout(arr.type):
+        return with_validity(arr, _not_null_mask(arr) & ~mask)
     return pc.if_else(pa.array(~mask), arr, pa.scalar(None, type=arr.type))
 
 
@@ -89,7 +93,7 @@ def _length_array(arr: pa.Array) -> Optional[pa.Array]:
     if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
         return pc.list_value_length(arr)
     if pa.types.is_map(t):
-        return pc.map_entries(arr).combine_chunks() if False else pc.list_value_length(arr)
+        return pc.list_value_length(arr)
     return None
 
 
@@ -300,8 +304,7 @@ def _kernel_strip(filt: fstring.Strip) -> Callable[[pa.Array], KernelResult]:
     trailing = filt.trailing.pattern if filt.trailing else None
 
     def kernel(arr: pa.Array) -> KernelResult:
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_one_array(arr)
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
             return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
@@ -339,8 +342,40 @@ def _kernel_strip(filt: fstring.Strip) -> Callable[[pa.Array], KernelResult]:
 _NPR_PATTERN = r'[^\P{C}\s\x0b]+'
 
 
-def _normalize_string_array(arr: pa.Array) -> pa.Array:
+def printable_rows(arr: pa.Array) -> np.ndarray:
+    """Rows that are null or printable ASCII (``' '`` to ``'~'``, the
+    empty string included): normalizing leaves them as they are, and no
+    guard of the RE2 Regex path fires on them. A chain probes a string
+    column once (:class:`~filters_ray.vector.compiler.CompiledChain`)."""
+    return np.asarray(pc.fill_null(pc.ascii_is_printable(arr), True)
+                      .to_numpy(zero_copy_only=False), dtype=bool)
+
+
+def _scatter(arr: pa.Array, mask: np.ndarray, values: pa.Array) -> pa.Array:
+    """``arr`` with its masked rows replaced, in order, by ``values``."""
+    spread = values.take(pa.array(np.cumsum(mask) - 1, mask=~mask))
+    return pc.if_else(pa.array(mask), spread, arr)
+
+
+def _normalize_string_array(arr: pa.Array,
+                            printable: Optional[np.ndarray] = None) -> pa.Array:
     """NFC + strip non-printables + unix newlines (Unicode normalize=True).
+
+    Printable ASCII rows (``printable``, probed here when not given) are
+    already normal, so a column of them is returned as it is; the other
+    rows are normalized apart and scattered back only if one changed."""
+    if printable is None:
+        printable = printable_rows(arr)
+    rest = ~printable
+    if not rest.any():
+        return arr
+    sub = arr.filter(pa.array(rest))
+    fixed = _normalize_rows(sub)
+    return arr if fixed.equals(sub) else _scatter(arr, rest, fixed)
+
+
+def _normalize_rows(arr: pa.Array) -> pa.Array:
+    """:func:`_normalize_string_array` row by row.
 
     ASCII rows are fully vectorized (RE2). Non-ASCII rows take the exact
     scalar code path (Python ``regex`` + unicodedata) because (a)
@@ -443,23 +478,26 @@ def _kernel_unicode(filt: fstring.Unicode) -> Callable[[pa.Array], KernelResult]
     normalize = filt.normalize
     encoding = filt.encoding
 
-    def kernel(arr: pa.Array) -> KernelResult:
+    def kernel(arr: pa.Array, printable: Optional[np.ndarray] = None) -> KernelResult:
         coerced, bad = _coerce_to_string(arr, encoding)
         if normalize:
-            coerced = _normalize_string_array(coerced)
+            coerced = _normalize_string_array(
+                coerced, printable if coerced is arr else None)
         errors = [(bad, filt.CODE_DECODE_ERROR, '')] if bad.any() else []
         return KernelResult(coerced, errors)
 
+    kernel.probes = normalize
     return kernel
 
 
 def _kernel_bytestring(filt: fstring.ByteString) -> Callable[[pa.Array], KernelResult]:
     inner = _kernel_unicode(filt)
 
-    def kernel(arr: pa.Array) -> KernelResult:
-        res = inner(arr)
+    def kernel(arr: pa.Array, printable: Optional[np.ndarray] = None) -> KernelResult:
+        res = inner(arr, printable)
         return KernelResult(res.values.cast(pa.binary()), res.errors)
 
+    kernel.probes = inner.probes
     return kernel
 
 
@@ -488,12 +526,12 @@ def _kernel_int(filt: fnumber.Int) -> Callable[[pa.Array], KernelResult]:
             if frac.any():
                 errors.append((frac, filt.CODE_DECIMAL, ''))
             dead = non_finite | frac
-            safe = pc.if_else(pa.array(~dead), arr, pa.scalar(None, type=t))
+            safe = _nullify(arr, dead)
             return KernelResult(safe.cast(pa.int64()), errors)
         if pa.types.is_string(t) or pa.types.is_large_string(t):
             intlike = _as_bool_ndarray(pc.match_substring_regex(arr, _INT_RE), n)
             rest = ~intlike & _not_null_mask(arr)
-            vec = pc.if_else(pa.array(intlike), arr, pa.scalar(None, type=t))
+            vec = _nullify(arr, ~intlike)
             try:
                 out = vec.cast(pa.int64())
             except (pa.ArrowInvalid, pa.ArrowTypeError):
@@ -593,6 +631,14 @@ def _is_whole_string_anchored(pattern: str) -> bool:
     return True
 
 
+def _regex_vectorizes(filt: fstring.Regex) -> bool:
+    """Only fully-anchored patterns vectorize, and only without
+    compiled-in flags (RE2 would silently drop IGNORECASE etc.)."""
+    pattern = filt.regex.pattern
+    return (isinstance(pattern, str) and _is_whole_string_anchored(pattern)
+            and getattr(filt.regex, 'flags', None) in _REGEX_PLAIN_FLAGS)
+
+
 def _kernel_regex(filt: fstring.Regex) -> Optional[Callable[[pa.Array], KernelResult]]:
     """Hybrid Regex kernel: RE2 (pc.match_substring_regex) for the rows
     where RE2 and Python ``regex`` semantics provably agree; everything
@@ -607,47 +653,28 @@ def _kernel_regex(filt: fstring.Regex) -> Optional[Callable[[pa.Array], KernelRe
     * ``^a|b$`` / ``^a\\$`` are not whole-string anchors — whole kernel
       scalar (via :func:`_is_whole_string_anchored`).
     """
+    if not _regex_vectorizes(filt):
+        return None
     pattern = filt.regex.pattern
-    if not (isinstance(pattern, str) and _is_whole_string_anchored(pattern)):
-        return None  # only fully-anchored patterns vectorize; rest falls back
-    if getattr(filt.regex, 'flags', None) not in _REGEX_PLAIN_FLAGS:
-        return None  # IGNORECASE etc. would be silently dropped by RE2
     scalar_fb = ScalarFallbackKernel(filt)
 
-    def kernel(arr: pa.Array) -> KernelResult:
+    def kernel(arr: pa.Array, printable: Optional[np.ndarray] = None) -> KernelResult:
         n = len(arr)
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
             out = pa.nulls(n, type=pa.list_(pa.string()))
             return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
-        not_null = _not_null_mask(arr)
-        # Rows where RE2 may disagree with Python regex → scalar path:
-        # non-ASCII (Unicode classes), trailing \n ($ semantics), and
-        # \x0b (in Python's \s, not RE2's — the one ASCII class gap).
-        ascii_only = _as_bool_ndarray(
-            pc.equal(pc.utf8_length(arr), pc.binary_length(arr)), n,
-        )
-        trailing_nl = _as_bool_ndarray(pc.ends_with(arr, pattern='\n'), n)
-        has_vt = _as_bool_ndarray(
-            pc.greater_equal(pc.find_substring(arr, '\x0b'), 0), n,
-        )
-        rest = not_null & (~ascii_only | trailing_nl | has_vt)
-        vec = not_null & ~rest
         try:
-            matched = pc.match_substring_regex(arr, pattern)
+            ok, bad, rest = _regex_rows(arr, pattern, printable)
         except pa.ArrowInvalid:
             return scalar_fb(arr)
-        ok = _as_bool_ndarray(matched, n) & vec
-        bad = ~ok & vec
         # Anchored pattern ⇒ the single match is the whole string: wrap it.
-        singles = pc.if_else(pa.array(ok), arr, pa.scalar(None, type=arr.type))
         offsets = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(ok.astype(np.int32), out=offsets[1:])
-        flat = singles.drop_null()
+        flat = arr.filter(pa.array(ok))
         wrapped = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat)
         # Null out rows that were null or invalid.
-        keep = pa.array(ok)
-        wrapped = pc.if_else(keep, wrapped, pa.scalar(None, type=wrapped.type))
+        wrapped = _nullify(wrapped, ~ok)
         errors: List[ErrorEntry] = [(bad, filt.CODE_INVALID, '')] if bad.any() else []
         if rest.any():
             res = scalar_fb(arr.filter(pa.array(rest)))
@@ -663,6 +690,64 @@ def _kernel_regex(filt: fstring.Regex) -> Optional[Callable[[pa.Array], KernelRe
                 errors.append((full, code, subkey))
         return KernelResult(wrapped, errors)
 
+    kernel.probes = True
+    return kernel
+
+
+def _regex_rows(arr: pa.Array, pattern: str,
+                printable: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """The rows of a string column an anchored RE2 ``pattern`` judges as
+    Python's ``regex`` would: ``(ok, bad, rest)``, where ``rest`` rows
+    need the scalar filter. Raises ``ArrowInvalid`` on a pattern RE2
+    cannot compile."""
+    n = len(arr)
+    not_null = _not_null_mask(arr)
+    # Rows where RE2 may disagree with Python regex → scalar path:
+    # non-ASCII (Unicode classes), trailing \n ($ semantics), and
+    # \x0b (in Python's \s, not RE2's — the one ASCII class gap). None
+    # of them is printable ASCII, so only the other rows are looked at.
+    if printable is None:
+        printable = printable_rows(arr)
+    rest = not_null & ~printable
+    if rest.any():
+        ascii_only = _as_bool_ndarray(
+            pc.equal(pc.utf8_length(arr), pc.binary_length(arr)), n,
+        )
+        trailing_nl = _as_bool_ndarray(pc.ends_with(arr, pattern='\n'), n)
+        has_vt = _as_bool_ndarray(
+            pc.greater_equal(pc.find_substring(arr, '\x0b'), 0), n,
+        )
+        rest &= ~ascii_only | trailing_nl | has_vt
+    vec = not_null & ~rest
+    ok = _as_bool_ndarray(pc.match_substring_regex(arr, pattern), n) & vec
+    return ok, ~ok & vec, rest
+
+
+def fused_regex_first(filt: fstring.Regex) -> Optional[Callable]:
+    """``Regex | First`` as one kernel, for a pattern the Regex kernel
+    vectorizes: the match of a whole-string anchor is the string itself,
+    so the pair returns its input with the non-matching rows nulled,
+    instead of a list column that ``First`` unwraps again. Returns None
+    (the caller then runs the pair) on a non-string column, a pattern RE2
+    cannot compile, or a row that needs the scalar filter."""
+    if not _regex_vectorizes(filt):
+        return None
+    pattern = filt.regex.pattern
+
+    def kernel(arr: pa.Array, printable: Optional[np.ndarray] = None
+               ) -> Optional[KernelResult]:
+        if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
+            return None
+        try:
+            ok, bad, rest = _regex_rows(arr, pattern, printable)
+        except pa.ArrowInvalid:
+            return None
+        if rest.any():
+            return None
+        errors = [(bad, filt.CODE_INVALID, '')] if bad.any() else []
+        return KernelResult(_nullify(arr, bad), errors)
+
+    kernel.probes = True
     return kernel
 
 
@@ -777,7 +862,7 @@ def _kernel_datetime(filt) -> Callable[[pa.Array], KernelResult]:
             return scalar_fb(arr)
         iso = _as_bool_ndarray(pc.match_substring_regex(arr, _ISO_RE), n)
         rest = ~iso & _not_null_mask(arr)
-        safe = pc.if_else(pa.array(iso), arr, pa.scalar(None, type=t))
+        safe = _nullify(arr, ~iso)
         try:
             ts = safe.cast(pa.timestamp('us'))
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
@@ -858,7 +943,7 @@ def _kernel_uuid(filt: fstring.Uuid) -> Callable[[pa.Array], KernelResult]:
                 canon &= rfc
                 rest |= non_rfc
         lowered = pc.utf8_lower(
-            pc.if_else(pa.array(canon), arr, pa.scalar(None, type=arr.type)),
+            _nullify(arr, ~canon),
         )
         errors: List[ErrorEntry] = []
         out = lowered
@@ -869,7 +954,7 @@ def _kernel_uuid(filt: fstring.Uuid) -> Callable[[pa.Array], KernelResult]:
             wrong = canon & ~ok_ver
             if wrong.any():
                 errors.append((wrong, filt.CODE_WRONG_VERSION, ''))
-                out = pc.if_else(pa.array(~wrong), out, pa.scalar(None, type=pa.string()))
+                out = _nullify(out, wrong)
         if rest.any():
             res = scalar_fb(arr.filter(pa.array(rest)))
             idx = np.flatnonzero(rest)
@@ -979,7 +1064,7 @@ def _kernel_decimal(filt) -> Optional[Callable[[pa.Array], KernelResult]]:
         max_int = int(int_digits[plain].max()) if plain.any() else 0
         if max_frac > 18 or max_int + max_frac > 37:
             return scalar_fb(arr)
-        safe = pc.if_else(pa.array(plain), arr, pa.scalar(None, type=t))
+        safe = _nullify(arr, ~plain)
         try:
             dec = safe.cast(pa.decimal128(38, max_frac))
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
@@ -1047,9 +1132,7 @@ def _kernel_round(filt) -> Callable[[pa.Array], KernelResult]:
             out = out.cast(pa.float64())
         elif result_type is not int:
             return scalar_fb(arr)
-        if not valid.all():
-            out = pc.if_else(pa.array(valid), out, pa.scalar(None, type=out.type))
-        return KernelResult(out)
+        return KernelResult(_nullify(out, ~valid))
 
     return kernel
 
@@ -1186,8 +1269,7 @@ def _kernel_repeater(filt: 'fcomplex.FilterRepeater') -> Callable[[pa.Array], Ke
     chain = CompiledChain(filt._filter_chain)
 
     def kernel(arr: pa.Array) -> KernelResult:
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
+        arr = as_one_array(arr)
         if not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
             # Mappings / other iterables / wrong types: scalar semantics.
             return scalar_fb(arr)
@@ -1225,10 +1307,7 @@ def _kernel_repeater(filt: 'fcomplex.FilterRepeater') -> Callable[[pa.Array], Ke
         )
         # Preserve null rows (offsets alone lose the validity bitmap).
         null_rows = ~_not_null_mask(arr)
-        if null_rows.any():
-            rebuilt = pc.if_else(
-                pa.array(~null_rows), rebuilt, pa.scalar(None, type=rebuilt.type),
-            )
+        rebuilt = _nullify(rebuilt, null_rows)
         # NOTE: per-element errors do NOT fail the row itself — the row's
         # value keeps the rebuilt list (failed elements are null inside).
         return KernelResult(rebuilt, errors)

@@ -191,3 +191,24 @@ def test_string_lsn_log_delivered_twice_is_applied_once(tmp_path):
     assert manifest.dlq == ['dlq-6-6-1.parquet']
     assert pipeline.rejection_counts() == {'not_valid_choice': 1}
     assert pipeline.final_table().column('last_lsn').to_pylist() == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('lacking', ['lsn', 'repo'])
+def test_log_lacking_a_key_column_is_dead_lettered(tmp_path, lacking):
+    """A one-file log without ``lsn`` or ``repo``: the validate stage
+    reads the absent column as null, so the chains' ``missing`` code
+    dead-letters every row instead of the stage raising ``KeyError``."""
+    import pyarrow.parquet as pq
+
+    log = pa.Table.from_pylist([
+        {'lsn': lsn, 'op': 'insert', 'repo': 'org/r', 'path': f'f{lsn}',
+         'commit': 'a' * 40, 'lang': 'py', 'content': f'body {lsn}'}
+        for lsn in range(40)])
+    path = str(tmp_path / 'events.parquet')
+    pq.write_table(log.drop_columns([lacking]), path)
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
+    report = pipeline.run(path)
+    assert report.lake_rows == 0
+    assert pipeline.final_table().num_rows == 0
+    assert pipeline.rejection_counts() == {'missing': log.num_rows}

@@ -206,3 +206,30 @@ def test_auto_dict_fast_path_fires_on_flagship_batch():
         assert hits.get(col, 0) >= 1, (col, hits)
     for col in ('commit', 'path', 'content'):
         assert hits.get(col, 0) == 0, (col, hits)
+
+
+def test_validated_columns_keep_the_input_buffers(tmp_path):
+    """Validation copies no accepted row: on a batch read from parquet,
+    with rejected rows among the accepted ones, each validated string
+    column is the input's data buffer under a new validity bitmap, and
+    its values are the scalar chain's, row by row."""
+    import pyarrow.parquet as pq
+
+    from filters_ray.pipelines.cdc import CDCValidateStage, cdc_validator_spec
+    from filters_ray.sources.synth import SynthConfig, make_events
+    from filters_ray.vector.kernels import ScalarFallbackKernel
+
+    path = str(tmp_path / 'events.parquet')
+    pq.write_table(make_events(SynthConfig(n_keys=3000, n_events=9000, seed=5)), path)
+    batch = pq.read_table(path)
+    out = CDCValidateStage(num_partitions=16)(batch)
+    rejected = pc.sum(pc.greater(pc.list_value_length(out.column(ERRORS_COLUMN)), 0))
+    assert 0 < rejected.as_py() < batch.num_rows
+
+    chains = cdc_validator_spec()['filter_map']
+    for col in ('repo', 'path', 'commit', 'lang', 'content'):
+        given, got = batch.column(col), out.column(col)
+        assert (given.num_chunks, got.num_chunks) == (1, 1)
+        assert got.chunk(0).buffers()[2].address == given.chunk(0).buffers()[2].address, col
+        scalar = ScalarFallbackKernel(chains[col])(given.chunk(0))
+        assert got.to_pylist() == scalar.values.to_pylist(), col

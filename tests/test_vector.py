@@ -15,6 +15,7 @@ import pytest
 import regex as _regex
 
 import filters_ray as f
+from filters_ray.functions.engine_filters import First
 from filters_ray.vector import compile_chain
 from filters_ray.vector.kernels import to_arrow_value
 
@@ -294,6 +295,33 @@ def test_repeater_sliced_list_column():
     out, errors = compiled.apply_column(full.slice(2))
     assert out.to_pylist() == [[5], [6, None]]
     assert errors.codes_per_row() == [[], [('1', 'too_small')]]
+
+
+@pytest.mark.parametrize('builder', [
+    lambda: f.Required | f.Unicode | f.NotEmpty,
+    lambda: f.Required | f.Unicode | f.Strip | f.NotEmpty | f.MaxLength(2),
+    lambda: f.Unicode | f.Choice(choices={'py', 'abc'}),
+    lambda: f.Unicode | f.Optional('') | f.Choice(choices={'', 'py', 'abc'}),
+    lambda: f.Unicode,
+    lambda: f.Unicode | f.Regex(r'^[a-z]+$') | First(),
+    lambda: f.Unicode | f.MaxBytes(2),
+    lambda: f.Int,
+])
+@pytest.mark.parametrize('values', [
+    ['x', 'py', 'py', '', 'abc', None, '12'],
+    ['zzzz', 'abc', None, '', 'a\x01b', 'py\r\n', 'é\x02', 'xyz', None],
+])
+def test_sliced_string_column_keeps_accepted_values(builder, values):
+    """A column that is a slice (validation reads a Ray batch's chunk as
+    it is, offset included) keeps every accepted row's value when its
+    rejected rows are nulled, defaulted, normalized or truncated.
+    ``pc.if_else(mask, sliced_strings, null)`` gave ``'ab\\x00'`` for
+    ``'abc'`` on pyarrow 16.1."""
+    column = pa.array(values).slice(1)
+    out, errors = compile_chain(builder()).apply_column(column)
+    expected_vals, expected_codes = scalar_reference(builder, column.to_pylist())
+    assert out.to_pylist() == expected_vals
+    assert [sorted(row) for row in errors.codes_per_row()] == expected_codes
 
 
 def test_int_overflow_survives_arrow():
