@@ -61,7 +61,7 @@ class First(BaseFilter):
         valid = _as_bool_ndarray(pc.is_valid(arr), n)
         empty = _as_bool_ndarray(pc.equal(pc.list_value_length(arr), 0), n)
         has_first = valid & ~empty
-        errors = [(empty & valid, self.CODE_EMPTY, '')] if (empty & valid).any() else []
+        errors = [(empty & valid, self.CODE_EMPTY, '')]
         if not has_first.any():
             return KernelResult(pa.nulls(n, type=arr.type.value_type), errors)
         offsets = np.asarray(arr.offsets)
@@ -151,9 +151,7 @@ class Lookup(BaseFilter):
             if self.default is not self._MISSING:
                 vals = pa.array([self.default] * n)
                 return KernelResult(vals)
-            return KernelResult(
-                pa.nulls(n), [(miss, self.CODE_NOT_FOUND, '')] if miss.any() else [],
-            )
+            return KernelResult(pa.nulls(n), [(miss, self.CODE_NOT_FOUND, '')])
         # index_in gives, per row, the position in the key list (or null).
         idx = pc.index_in(arr, value_set=key_arr)
         found = _as_bool_ndarray(pc.is_valid(idx), len(arr))
@@ -167,7 +165,7 @@ class Lookup(BaseFilter):
                     pa.array(~miss), out, pa.scalar(self.default, type=out.type),
                 )
             return KernelResult(out)
-        return KernelResult(out, [(miss, self.CODE_NOT_FOUND, '')] if miss.any() else [])
+        return KernelResult(out, [(miss, self.CODE_NOT_FOUND, '')])
 
 
 def content_required_rule(

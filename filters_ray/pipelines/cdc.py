@@ -678,14 +678,18 @@ def _write_dlq(store: ManifestStore, pid: int, dlq: pa.Table,
     ``commit_version`` a commit over the ``version`` read stamps, so no two
     commits share a name), holding the rejected events' own typed columns
     plus ``_errors`` (the raw lsn is not stored: validating the file's
-    ``lsn`` derives it again). Stages it into ``staged`` and returns its
-    name; none when nothing was rejected."""
+    ``lsn`` derives it again). Rows are in ``(repo, path, lsn)`` order by
+    the validated key columns (string, or null-typed when a batch lacks
+    them), so the file's key runs compress as the lake's do. Stages it
+    into ``staged`` and returns its name; none when nothing was
+    rejected."""
     if not dlq.num_rows:
         return []
     bounds = pc.min_max(dlq.column(RAW_LSN_COLUMN))
     lo, hi = bounds['min'].as_py() or 0, bounds['max'].as_py() or 0
     name = f'dlq-{lo}-{hi}-{version + 1}.parquet'
-    out = dlq_rows(dlq.sort_by([(RAW_LSN_COLUMN, 'ascending')]))
+    out = dlq_rows(dlq.sort_by([('repo', 'ascending'), ('path', 'ascending'),
+                                (RAW_LSN_COLUMN, 'ascending')]))
     os.makedirs(store.dlq_dir(pid), exist_ok=True)
     _stage(store, pid, out, 'dlq', store.dlq_path(pid, name), staged, version)
     return [name]

@@ -40,20 +40,7 @@ __all__ = [
     'AudioFeatureStage',
     'ResizeImageStage',
     'VideoFrameSampleStage',
-    'media_table_schema',
 ]
-
-
-def media_table_schema() -> pa.Schema:
-    """Canonical multimodal table schema."""
-    return pa.schema([
-        ('media_id', pa.int64()),
-        ('media_type', pa.string()),       # 'image' | 'audio' | 'video'
-        ('payload', pa.large_binary()),    # opaque encoded bytes
-        ('width', pa.int32()),
-        ('height', pa.int32()),
-        ('duration_ms', pa.int32()),
-    ])
 
 
 def _try_import(name: str):

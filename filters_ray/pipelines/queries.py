@@ -23,13 +23,6 @@ from .dedup import _from_pandas
 __all__ = ['QUERIES', 'ray_queries', 'oracle_sqls']
 
 
-def _strip_meta(batch: pa.Table) -> pa.Table:
-    # Pandas-metadata dicts make pa.Schema unhashable, which defeats
-    # Ray's schema-dedup fast path and spams "Failed to hash the
-    # schemas" warnings at every shuffle (VERDICT r1 #7). Zero-copy.
-    return batch.replace_schema_metadata(None)
-
-
 def _parquet_rows(sf_dir: str, table: str) -> int:
     """Row count from parquet footer metadata — no scan, no execution."""
     import os
@@ -56,9 +49,9 @@ def _bucket_count(rows: int, target_rows: int = 131072, floor: int = 64) -> int:
 def _read(sf_dir: str, table: str, columns=None):
     """Pruned parquet read with a metadata-FREE explicit schema: passing
     the footer schema stripped of pandas metadata keeps every read block's
-    schema hashable at the source (no "Failed to hash the schemas" on the
-    read op itself — the _strip_meta map stage only cleaned blocks one
-    hop too late)."""
+    schema hashable at the source: pandas-metadata dicts make a
+    ``pa.Schema`` unhashable, which defeats Ray's schema-dedup fast path
+    and logs "Failed to hash the schemas" at every shuffle."""
     import os
 
     import pyarrow.parquet as pq

@@ -26,7 +26,6 @@ __all__ = [
     'add_fingerprint',
     'add_quality_score',
     'add_token_count',
-    'token_count_table',
 ]
 
 _TOKEN_RE = r'[A-Za-z0-9_]+|[^\sA-Za-z0-9_]'  # BPE-ish: words + single punct
@@ -42,12 +41,6 @@ def add_token_count(batch: pa.Table, column: str = 'text') -> pa.Table:
     bpe = pc.count_substring_regex(col, _TOKEN_RE)
     out = batch.append_column('n_tokens_ws', pc.cast(ws, pa.int64()))
     return out.append_column('n_tokens_bpe', pc.cast(bpe, pa.int64()))
-
-
-def token_count_table(batch: pa.Table, column: str = 'text') -> pa.Table:
-    """Projection form used by the `queries()` surface."""
-    with_counts = add_token_count(batch, column)
-    return with_counts
 
 
 def add_quality_score(batch: pa.Table, column: str = 'text') -> pa.Table:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 __all__ = [
-    'read_table', 'read_events', 'read_csv_table', 'read_jsonl_table',
+    'read_table', 'read_csv_table', 'read_jsonl_table',
     'write_partitioned', 'write_jsonl',
 ]
 
@@ -30,11 +30,6 @@ def read_table(
     import ray.data as rd
 
     return rd.read_parquet(path, columns=columns, filter=row_filter, **kwargs)
-
-
-def read_events(path: str, columns: Optional[List[str]] = None):
-    """Read a change-event log directory (ordered parquet shards)."""
-    return read_table(path, columns=columns)
 
 
 def read_csv_table(

@@ -299,7 +299,6 @@ class CompiledChain:
             except pa.ArrowNotImplementedError:
                 # if_else not implemented for this type (nested lists):
                 # take() based overlay.
-                idx = np.arange(n)
                 take_from_vals = np.flatnonzero(mask)
                 out_py = out.to_pylist()
                 vals_py = vals.to_pylist()

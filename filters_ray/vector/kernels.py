@@ -14,6 +14,16 @@ boolean ndarray marking rows that failed with ``code``. The contract:
 * Vectorized kernels must agree cell-for-cell with the scalar filter
   (enforced by tests/test_vector.py's scalar-vs-vector parity battery).
 
+Routing contract, so that only the routed rows ever leave Arrow:
+
+* A kernel returns its masks as they are, empty ones included;
+  :meth:`~filters_ray.vector.compiler.ColumnErrors.add` drops the empty.
+* A row a kernel cannot judge goes to the scalar filter through
+  :func:`_scalar_rows`. An answer that does not cast to the kernel's
+  output type raises, and the chain then runs that batch on the scalar
+  filter.
+* A row a kernel patches in Python goes through :func:`_python_rows`.
+
 Filters without a vector implementation fall back to
 :class:`ScalarFallbackKernel`, which loops the compiled scalar chain over
 the batch — correct for every filter, used off the hot path.
@@ -36,6 +46,7 @@ other scalar/vector divergences are parity bugs and treated as such.
 from __future__ import annotations
 
 import decimal
+import unicodedata
 import uuid as _uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
@@ -101,6 +112,40 @@ def _not_null_mask(arr: pa.Array) -> np.ndarray:
     return _as_bool_ndarray(pc.is_valid(arr), len(arr))
 
 
+def _scatter(arr: pa.Array, mask: np.ndarray, values: pa.Array) -> pa.Array:
+    """``arr`` with its masked rows replaced, in order, by ``values``."""
+    spread = values.take(pa.array(np.cumsum(mask) - 1, mask=~mask))
+    return pc.if_else(pa.array(mask), spread, arr)
+
+
+def _scalar_rows(arr: pa.Array, out: pa.Array, rest: np.ndarray,
+                 scalar_fb: 'ScalarFallbackKernel', errors: List[ErrorEntry]) -> pa.Array:
+    """``out`` with its ``rest`` rows replaced by the scalar filter's
+    answers for those rows of ``arr``; the filter's error masks, lifted to
+    the whole column, are appended to ``errors``. Raises when an answer
+    does not cast to ``out``'s type."""
+    if not rest.any():
+        return out
+    res = scalar_fb(arr.filter(pa.array(rest)))
+    values = res.values.cast(out.type)
+    rows = np.flatnonzero(rest)
+    for mask, code, subkey in res.errors:
+        full = np.zeros(len(arr), dtype=bool)
+        full[rows[mask]] = True
+        errors.append((full, code, subkey))
+    return _scatter(out, rest, values)
+
+
+def _python_rows(out: pa.Array, src: pa.Array, rows: np.ndarray,
+                 fn: Callable[[Any], Any]) -> pa.Array:
+    """``out`` with its ``rows`` rows (non-null in ``src``) replaced by
+    ``fn`` of ``src``'s values there: only those rows leave Arrow."""
+    if not rows.any():
+        return out
+    fixed = [fn(v) for v in src.filter(pa.array(rows)).to_pylist()]
+    return _scatter(out, rows, pa.array(fixed, type=out.type))
+
+
 # ---------------------------------------------------------------------------
 # individual kernels
 # ---------------------------------------------------------------------------
@@ -135,7 +180,7 @@ def _kernel_empty(filt: fsimple.Empty) -> Callable[[pa.Array], KernelResult]:
             bad = _not_null_mask(arr)  # every non-null length-less value fails
         else:
             bad = _as_bool_ndarray(pc.greater(lengths, 0), n)
-        return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_NOT_EMPTY, '')] if bad.any() else [])
+        return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_NOT_EMPTY, '')])
 
     return kernel
 
@@ -180,20 +225,17 @@ def _kernel_lengths(filt) -> Callable[[pa.Array], KernelResult]:
         lengths = _length_array(arr)
         if lengths is None:
             bad = _not_null_mask(arr)
-            return KernelResult(_nullify(arr, bad), [(bad, unsized_code, '')] if bad.any() else [])
+            return KernelResult(_nullify(arr, bad), [(bad, unsized_code, '')])
         errors: List[ErrorEntry] = []
         dead = np.zeros(n, dtype=bool)
         if hi is not None:
             too_long = _as_bool_ndarray(pc.greater(lengths, hi), n)
-            if too_long.any():
-                errors.append((too_long, 'too_long', ''))
-                dead |= too_long
+            errors.append((too_long, 'too_long', ''))
+            dead |= too_long
         if lo is not None:
-            too_short = _as_bool_ndarray(pc.less(lengths, lo), n)
-            too_short &= ~dead
-            if too_short.any():
-                errors.append((too_short, 'too_short', ''))
-                dead |= too_short
+            too_short = _as_bool_ndarray(pc.less(lengths, lo), n) & ~dead
+            errors.append((too_short, 'too_short', ''))
+            dead |= too_short
         return KernelResult(_nullify(arr, dead), errors)
 
     return kernel
@@ -262,14 +304,14 @@ def _kernel_choice(filt: fsimple.Choice) -> Callable[[pa.Array], KernelResult]:
         if not compat:
             # No choice can equal this column's type: nothing matches.
             bad = _not_null_mask(arr)
-            return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_INVALID, '')] if bad.any() else [])
+            return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_INVALID, '')])
         try:
             value_set = pa.array(compat, type=arr.type)
         except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
             return scalar_fb(arr)
         ok = _as_bool_ndarray(pc.is_in(arr, value_set=value_set), len(arr))
         bad = ~ok & _not_null_mask(arr)
-        return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_INVALID, '')] if bad.any() else [])
+        return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_INVALID, '')])
 
     return kernel
 
@@ -283,18 +325,12 @@ def _kernel_casefold(filt: fstring.CaseFold) -> Callable[[pa.Array], KernelResul
     def kernel(arr: pa.Array) -> KernelResult:
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
-            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         # ASCII rows: casefold == lower, fully vectorized. Non-ASCII rows
         # (rare in the CDC corpus) drop to Python str.casefold for parity
         # (e.g. 'ß' -> 'ss', which utf8_lower cannot produce).
-        non_ascii = _non_ascii(arr)
-        lowered = pc.utf8_lower(arr)
-        if non_ascii.any():
-            py = arr.to_pylist()
-            fixed = [py[i].casefold() if non_ascii[i] and py[i] is not None else None
-                     for i in range(len(py))]
-            lowered = pc.if_else(pa.array(~non_ascii), lowered, pa.array(fixed, type=arr.type))
-        return KernelResult(lowered)
+        return KernelResult(
+            _python_rows(pc.utf8_lower(arr), arr, _non_ascii(arr), str.casefold))
 
     return kernel
 
@@ -303,35 +339,27 @@ def _kernel_strip(filt: fstring.Strip) -> Callable[[pa.Array], KernelResult]:
     leading = filt.leading.pattern if filt.leading else None
     trailing = filt.trailing.pattern if filt.trailing else None
 
+    def strip(v: str) -> str:
+        if filt.leading:
+            v = filt.leading.sub('', v)
+        if filt.trailing:
+            v = filt.trailing.sub('', v)
+        return v
+
     def kernel(arr: pa.Array) -> KernelResult:
         arr = as_one_array(arr)
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
-            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         # ASCII rows: RE2 (its \s and \p{C} agree with Python's inside
         # ASCII). Non-ASCII rows: the exact scalar regexes (RE2's \s is
         # ASCII-only — it would keep U+00A0 etc., found by hypothesis).
-        non_ascii = _non_ascii(arr)
         out = arr
         if leading:
             out = pc.replace_substring_regex(out, pattern=leading, replacement='', max_replacements=1)
         if trailing:
             out = pc.replace_substring_regex(out, pattern=trailing, replacement='', max_replacements=1)
-        if non_ascii.any():
-            py = arr.to_pylist()
-            fixed = []
-            for i in range(len(py)):
-                if not non_ascii[i] or py[i] is None:
-                    fixed.append(None)
-                    continue
-                v = py[i]
-                if filt.leading:
-                    v = filt.leading.sub('', v)
-                if filt.trailing:
-                    v = filt.trailing.sub('', v)
-                fixed.append(v)
-            out = pc.if_else(pa.array(~non_ascii), out, pa.array(fixed, type=arr.type))
-        return KernelResult(out)
+        return KernelResult(_python_rows(out, arr, _non_ascii(arr), strip))
 
     return kernel
 
@@ -349,12 +377,6 @@ def printable_rows(arr: pa.Array) -> np.ndarray:
     column once (:class:`~filters_ray.vector.compiler.CompiledChain`)."""
     return np.asarray(pc.fill_null(pc.ascii_is_printable(arr), True)
                       .to_numpy(zero_copy_only=False), dtype=bool)
-
-
-def _scatter(arr: pa.Array, mask: np.ndarray, values: pa.Array) -> pa.Array:
-    """``arr`` with its masked rows replaced, in order, by ``values``."""
-    spread = values.take(pa.array(np.cumsum(mask) - 1, mask=~mask))
-    return pc.if_else(pa.array(mask), spread, arr)
 
 
 def _normalize_string_array(arr: pa.Array,
@@ -383,19 +405,9 @@ def _normalize_rows(arr: pa.Array) -> pa.Array:
     and (b) RE2's ``\\p{C}`` table diverges from the ``regex`` module's on
     e.g. unassigned codepoints (found by hypothesis).
     """
-    non_ascii = _non_ascii(arr)
     out = pc.replace_substring_regex(arr, pattern=_NPR_PATTERN, replacement='')
-    if non_ascii.any():
-        import unicodedata
-
-        from ..functions.string import _NON_PRINTABLE
-        py = arr.to_pylist()
-        fixed = [
-            unicodedata.normalize('NFC', _NON_PRINTABLE.sub('', py[i]))
-            if non_ascii[i] and py[i] is not None else None
-            for i in range(len(py))
-        ]
-        out = pc.if_else(pa.array(~non_ascii), out, pa.array(fixed, type=arr.type))
+    out = _python_rows(out, arr, _non_ascii(arr), lambda v: unicodedata.normalize(
+        'NFC', fstring._NON_PRINTABLE.sub('', v)))
     out = pc.replace_substring(out, pattern='\r\n', replacement='\n')
     out = pc.replace_substring(out, pattern='\r', replacement='\n')
     return out
@@ -455,15 +467,7 @@ def _coerce_to_string(arr: pa.Array, encoding: str) -> Tuple[pa.Array, np.ndarra
         risky = _as_bool_ndarray(
             pc.match_substring_regex(s, r'e|^-?0\.0000'), n,
         )
-        if risky.any():
-            py = arr.to_pylist()
-            fixed = pa.array(
-                [str(py[i]) if risky[i] and py[i] is not None else None
-                 for i in range(n)],
-                type=pa.string(),
-            )
-            s = pc.if_else(pa.array(~risky), s, fixed)
-        return s, bad
+        return _python_rows(s, arr, risky, str), bad
 
     if pa.types.is_decimal(t):
         # format(v, 'f') semantics — Arrow's decimal->string is plain form.
@@ -483,8 +487,7 @@ def _kernel_unicode(filt: fstring.Unicode) -> Callable[[pa.Array], KernelResult]
         if normalize:
             coerced = _normalize_string_array(
                 coerced, printable if coerced is arr else None)
-        errors = [(bad, filt.CODE_DECODE_ERROR, '')] if bad.any() else []
-        return KernelResult(coerced, errors)
+        return KernelResult(coerced, [(bad, filt.CODE_DECODE_ERROR, '')])
 
     kernel.probes = normalize
     return kernel
@@ -520,40 +523,22 @@ def _kernel_int(filt: fnumber.Int) -> Callable[[pa.Array], KernelResult]:
             frac = _as_bool_ndarray(
                 pc.not_equal(pc.subtract(arr, pc.floor(arr)), 0.0), n,
             ) & ~non_finite
-            errors: List[ErrorEntry] = []
-            if non_finite.any():
-                errors.append((non_finite, fnumber.Decimal.CODE_NON_FINITE, ''))
-            if frac.any():
-                errors.append((frac, filt.CODE_DECIMAL, ''))
-            dead = non_finite | frac
-            safe = _nullify(arr, dead)
-            return KernelResult(safe.cast(pa.int64()), errors)
+            safe = _nullify(arr, non_finite | frac)
+            return KernelResult(safe.cast(pa.int64()), [
+                (non_finite, fnumber.Decimal.CODE_NON_FINITE, ''),
+                (frac, filt.CODE_DECIMAL, '')])
         if pa.types.is_string(t) or pa.types.is_large_string(t):
             intlike = _as_bool_ndarray(pc.match_substring_regex(arr, _INT_RE), n)
-            rest = ~intlike & _not_null_mask(arr)
-            vec = _nullify(arr, ~intlike)
             try:
-                out = vec.cast(pa.int64())
+                out = _nullify(arr, ~intlike).cast(pa.int64())
             except (pa.ArrowInvalid, pa.ArrowTypeError):
                 # Overflowing int64 (huge literals): punt entirely to scalar.
                 return scalar_fb(arr)
-            if rest.any():
-                # Decimal-ish strings ('2.0', '1e3', 'NaN', ...) go through
-                # the scalar filter for exact parity.
-                res = scalar_fb(arr.filter(pa.array(rest)))
-                idx = np.flatnonzero(rest)
-                out_py = out.to_pylist()
-                sub = res.values.to_pylist()
-                for j, i in enumerate(idx):
-                    out_py[i] = sub[j]
-                out = pa.array(out_py, type=pa.int64())
-                errors = []
-                for mask, code, subkey in res.errors:
-                    full = np.zeros(n, dtype=bool)
-                    full[idx[mask]] = True
-                    errors.append((full, code, subkey))
-                return KernelResult(out, errors)
-            return KernelResult(out)
+            # Decimal-ish strings ('2.0', '1e3', 'NaN', ...) go through
+            # the scalar filter for exact parity.
+            errors: List[ErrorEntry] = []
+            out = _scalar_rows(arr, out, ~intlike & _not_null_mask(arr), scalar_fb, errors)
+            return KernelResult(out, errors)
         return scalar_fb(arr)
 
     return kernel
@@ -572,7 +557,7 @@ def _kernel_minmax(filt) -> Callable[[pa.Array], KernelResult]:
         else:
             cmp = pc.less_equal(arr, bound) if exclusive else pc.less(arr, bound)
         bad = _as_bool_ndarray(cmp, n)
-        return KernelResult(_nullify(arr, bad), [(bad, code, '')] if bad.any() else [])
+        return KernelResult(_nullify(arr, bad), [(bad, code, '')])
 
     return kernel
 
@@ -663,7 +648,7 @@ def _kernel_regex(filt: fstring.Regex) -> Optional[Callable[[pa.Array], KernelRe
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
             out = pa.nulls(n, type=pa.list_(pa.string()))
-            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         try:
             ok, bad, rest = _regex_rows(arr, pattern, printable)
         except pa.ArrowInvalid:
@@ -675,20 +660,8 @@ def _kernel_regex(filt: fstring.Regex) -> Optional[Callable[[pa.Array], KernelRe
         wrapped = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat)
         # Null out rows that were null or invalid.
         wrapped = _nullify(wrapped, ~ok)
-        errors: List[ErrorEntry] = [(bad, filt.CODE_INVALID, '')] if bad.any() else []
-        if rest.any():
-            res = scalar_fb(arr.filter(pa.array(rest)))
-            idx = np.flatnonzero(rest)
-            out_py = wrapped.to_pylist()
-            sub = res.values.to_pylist()
-            for j, i in enumerate(idx):
-                out_py[i] = sub[j]
-            wrapped = pa.array(out_py, type=pa.list_(pa.string()))
-            for mask, code, subkey in res.errors:
-                full = np.zeros(n, dtype=bool)
-                full[idx[mask]] = True
-                errors.append((full, code, subkey))
-        return KernelResult(wrapped, errors)
+        errors: List[ErrorEntry] = [(bad, filt.CODE_INVALID, '')]
+        return KernelResult(_scalar_rows(arr, wrapped, rest, scalar_fb, errors), errors)
 
     kernel.probes = True
     return kernel
@@ -744,8 +717,7 @@ def fused_regex_first(filt: fstring.Regex) -> Optional[Callable]:
             return None
         if rest.any():
             return None
-        errors = [(bad, filt.CODE_INVALID, '')] if bad.any() else []
-        return KernelResult(_nullify(arr, bad), errors)
+        return KernelResult(_nullify(arr, bad), [(bad, filt.CODE_INVALID, '')])
 
     kernel.probes = True
     return kernel
@@ -770,25 +742,15 @@ def _kernel_maxbytes(filt: fstring.MaxBytes) -> Callable[[pa.Array], KernelResul
         too_long = _as_bool_ndarray(
             pc.greater(pc.binary_length(as_bytes), filt.max_bytes), n,
         ) & ~bad_enc
-        errors: List[ErrorEntry] = []
-        if bad_enc.any():
-            errors.append((bad_enc, fstring.Unicode.CODE_DECODE_ERROR, ''))
-        if too_long.any():
-            errors.append((too_long, filt.CODE_TOO_LONG, ''))
-            if filt.truncate:
-                # Truncate only the violating rows (rare) in Python.
-                py = coerced.to_pylist()
-                out_py = as_bytes.to_pylist()
-                for i in np.flatnonzero(too_long):
-                    out_py[i] = filt.truncate_string(
-                        filt.prefix + py[i], filt.max_bytes, filt.encoding,
-                    )
-                for i in np.flatnonzero(bad_enc):
-                    out_py[i] = None
-                return KernelResult(pa.array(out_py, type=pa.binary()), errors)
-            as_bytes = _nullify(as_bytes, too_long | bad_enc)
-            return KernelResult(as_bytes, errors)
-        return KernelResult(_nullify(as_bytes, bad_enc), errors)
+        errors = [(bad_enc, fstring.Unicode.CODE_DECODE_ERROR, ''),
+                  (too_long, filt.CODE_TOO_LONG, '')]
+        if filt.truncate:
+            # Truncate only the violating rows (rare) in Python; the
+            # undecodable rows are already null in ``coerced``.
+            return KernelResult(_python_rows(
+                as_bytes, coerced, too_long, lambda v: filt.truncate_string(
+                    filt.prefix + v, filt.max_bytes, filt.encoding)), errors)
+        return KernelResult(_nullify(as_bytes, too_long | bad_enc), errors)
 
     return kernel
 
@@ -813,7 +775,7 @@ def _kernel_array(filt: fsimple.Array) -> Callable[[pa.Array], KernelResult]:
             bad = _not_null_mask(arr)
             return KernelResult(
                 _null_like(arr),
-                [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [],
+                [(bad, fbase.Type.CODE_WRONG_TYPE, '')],
             )
         return scalar_fb(arr)
 
@@ -868,22 +830,9 @@ def _kernel_datetime(filt) -> Callable[[pa.Array], KernelResult]:
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
             return scalar_fb(arr)
         out = ts.cast(out_type) if not out_type.equals(ts.type) else ts
-        if rest.any():
-            # Non-ISO rows: exact dateutil semantics via the scalar filter.
-            res = scalar_fb(arr.filter(pa.array(rest)))
-            idx = np.flatnonzero(rest)
-            out_py = out.to_pylist()
-            sub = res.values.to_pylist()
-            for j, i in enumerate(idx):
-                out_py[i] = sub[j]
-            out = pa.array(out_py, type=out_type)
-            errors: List[ErrorEntry] = []
-            for mask, code, subkey in res.errors:
-                full = np.zeros(n, dtype=bool)
-                full[idx[mask]] = True
-                errors.append((full, code, subkey))
-            return KernelResult(out, errors)
-        return KernelResult(out)
+        # Non-ISO rows: exact dateutil semantics via the scalar filter.
+        errors: List[ErrorEntry] = []
+        return KernelResult(_scalar_rows(arr, out, rest, scalar_fb, errors), errors)
 
     return kernel
 
@@ -938,36 +887,18 @@ def _kernel_uuid(filt: fstring.Uuid) -> Callable[[pa.Array], KernelResult]:
             rfc = _as_bool_ndarray(
                 pc.is_in(var_char, value_set=pa.array(['8', '9', 'a', 'b'])), n,
             )
-            non_rfc = canon & ~rfc
-            if non_rfc.any():
-                canon &= rfc
-                rest |= non_rfc
-        lowered = pc.utf8_lower(
-            _nullify(arr, ~canon),
-        )
+            rest |= canon & ~rfc
+            canon &= rfc
+        out = pc.utf8_lower(_nullify(arr, ~canon))
         errors: List[ErrorEntry] = []
-        out = lowered
         if version is not None:
             # Version nibble = hex digit at offset 14 of the canonical form.
-            ver_char = pc.utf8_slice_codeunits(lowered, 14, 15)
+            ver_char = pc.utf8_slice_codeunits(out, 14, 15)
             ok_ver = _as_bool_ndarray(pc.equal(ver_char, format(version, 'x')), n)
             wrong = canon & ~ok_ver
-            if wrong.any():
-                errors.append((wrong, filt.CODE_WRONG_VERSION, ''))
-                out = _nullify(out, wrong)
-        if rest.any():
-            res = scalar_fb(arr.filter(pa.array(rest)))
-            idx = np.flatnonzero(rest)
-            out_py = out.to_pylist()
-            sub = res.values.to_pylist()
-            for j, i in enumerate(idx):
-                out_py[i] = sub[j]
-            out = pa.array(out_py, type=pa.string())
-            for mask, code, subkey in res.errors:
-                full = np.zeros(n, dtype=bool)
-                full[idx[mask]] = True
-                errors.append((full, code, subkey))
-        return KernelResult(out, errors)
+            errors.append((wrong, filt.CODE_WRONG_VERSION, ''))
+            out = _nullify(out, wrong)
+        return KernelResult(_scalar_rows(arr, out, rest, scalar_fb, errors), errors)
 
     return kernel
 
@@ -990,7 +921,7 @@ def _kernel_ip(filt: fstring.IpAddress) -> Optional[Callable[[pa.Array], KernelR
         n = len(arr)
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
-            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(_null_like(arr), [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         not_null = _not_null_mask(arr)
         # Embedded NUL: inet_pton raises ValueError (trapped as code
         # 'exception' by the scalar filter), not "invalid" — row-route.
@@ -1008,20 +939,8 @@ def _kernel_ip(filt: fstring.IpAddress) -> Optional[Callable[[pa.Array], KernelR
             ok = np.zeros(n, dtype=bool)
         bad = not_null & ~ok & ~rest
         out = _nullify(arr, bad | rest)
-        errors: List[ErrorEntry] = [(bad, filt.CODE_INVALID, '')] if bad.any() else []
-        if rest.any():
-            res = scalar_fb(arr.filter(pa.array(rest)))
-            idx = np.flatnonzero(rest)
-            out_py = out.to_pylist()
-            sub = res.values.to_pylist()
-            for j, i in enumerate(idx):
-                out_py[i] = sub[j]
-            out = pa.array(out_py, type=pa.string())
-            for mask, code, subkey in res.errors:
-                full = np.zeros(n, dtype=bool)
-                full[idx[mask]] = True
-                errors.append((full, code, subkey))
-        return KernelResult(out, errors)
+        errors: List[ErrorEntry] = [(bad, filt.CODE_INVALID, '')]
+        return KernelResult(_scalar_rows(arr, out, rest, scalar_fb, errors), errors)
 
     return kernel
 
@@ -1060,8 +979,8 @@ def _kernel_decimal(filt) -> Optional[Callable[[pa.Array], KernelResult]]:
         )
         frac = np.where((dot >= 0) & plain, length - dot - 1, 0)
         int_digits = np.where(dot >= 0, dot, length)  # incl. sign: safe upper bound
-        max_frac = int(frac[plain].max()) if plain.any() else 0
-        max_int = int(int_digits[plain].max()) if plain.any() else 0
+        max_frac = int(frac[plain].max())
+        max_int = int(int_digits[plain].max())
         if max_frac > 18 or max_int + max_frac > 37:
             return scalar_fb(arr)
         safe = _nullify(arr, ~plain)
@@ -1069,26 +988,10 @@ def _kernel_decimal(filt) -> Optional[Callable[[pa.Array], KernelResult]]:
             dec = safe.cast(pa.decimal128(38, max_frac))
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
             return scalar_fb(arr)
-        if not rest.any():
-            return KernelResult(dec)
-        res = scalar_fb(arr.filter(pa.array(rest)))
-        idx = np.flatnonzero(rest)
-        out_py = dec.to_pylist()
-        sub = res.values.to_pylist()
-        for j, i in enumerate(idx):
-            out_py[i] = sub[j]
-        try:
-            out = pa.array(out_py)
-        except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError, ValueError):
-            out = pa.array(
-                [None if v is None else str(v) for v in out_py], type=pa.string(),
-            )
+        # A routed row needing a wider scale than the plain rows raises
+        # in _scalar_rows: the chain then runs the batch scalar.
         errors: List[ErrorEntry] = []
-        for mask, code, subkey in res.errors:
-            full = np.zeros(n, dtype=bool)
-            full[idx[mask]] = True
-            errors.append((full, code, subkey))
-        return KernelResult(out, errors)
+        return KernelResult(_scalar_rows(arr, dec, rest, scalar_fb, errors), errors)
 
     return kernel
 
@@ -1203,7 +1106,7 @@ def _kernel_split(filt: fstring.Split) -> Optional[Callable[[pa.Array], KernelRe
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
             out = pa.nulls(len(arr), type=pa.list_(pa.string()))
-            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         return KernelResult(pc.split_pattern(arr, pattern=pattern))
 
     return kernel
@@ -1219,7 +1122,7 @@ def _regex_split_kernel(
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             bad = _not_null_mask(arr)
             out = pa.nulls(n, type=pa.list_(pa.string()))
-            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')] if bad.any() else [])
+            return KernelResult(out, [(bad, fbase.Type.CODE_WRONG_TYPE, '')])
         not_null = _not_null_mask(arr)
         ascii_only = _as_bool_ndarray(
             pc.equal(pc.utf8_length(arr), pc.binary_length(arr)), n,
@@ -1234,19 +1137,7 @@ def _regex_split_kernel(
         except pa.ArrowInvalid:
             return scalar_fb(arr)
         errors: List[ErrorEntry] = []
-        if rest.any():
-            res = scalar_fb(arr.filter(pa.array(rest)))
-            idx = np.flatnonzero(rest)
-            out_py = out.to_pylist()
-            sub = res.values.to_pylist()
-            for j, i in enumerate(idx):
-                out_py[i] = sub[j]
-            out = pa.array(out_py, type=pa.list_(pa.string()))
-            for mask, code, subkey in res.errors:
-                full = np.zeros(n, dtype=bool)
-                full[idx[mask]] = True
-                errors.append((full, code, subkey))
-        return KernelResult(out, errors)
+        return KernelResult(_scalar_rows(arr, out, rest, scalar_fb, errors), errors)
 
     return kernel
 
@@ -1336,17 +1227,16 @@ def to_arrow_value(value: Any) -> Any:
         return str(value)
     if isinstance(value, bytearray):
         return bytes(value)
-    if isinstance(value, decimal.Decimal):
-        return value
     return value
 
 
 class ScalarFallbackKernel:
     """Correct-for-everything kernel: loops the scalar filter over rows.
 
-    Used for filters with no vector implementation (Base64Decode, Uuid,
-    IpAddress, JsonDecode, Datetime, FilterRepeater, ...). Keeps one
-    compiled chain + one capturing handler per kernel instance
+    Used for filters with no vector implementation (Base64Decode,
+    JsonDecode, Type, FilterMapper), for the rows and column types a hybrid
+    kernel routes here, and for a batch a vector kernel cannot handle.
+    Keeps one compiled chain + one capturing handler per kernel instance
     (single-threaded within a Ray task — reuse is safe, SURVEY.md §3.4).
     """
 

@@ -237,7 +237,8 @@ def test_writer_killed_mid_commit_releases_lock(tmp_path):
         'time.sleep(60)\n'  # killed long before this returns
     )
     holder = subprocess.Popen(
-        [sys.executable, '-c', holder_src], cwd='/root/repo',
+        [sys.executable, '-c', holder_src],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:

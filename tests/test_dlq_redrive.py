@@ -529,6 +529,49 @@ def test_dlq_file_with_off_plan_types(tmp_path):
     assert dlq_encodings() == encodings
 
 
+def test_dlq_files_are_in_key_order(tmp_path):
+    """Every DLQ file a commit writes holds its rows in ``(repo, path,
+    lsn)`` order of the validated key columns, nulls last: also for a
+    batch whose ``repo`` arrives as integers (validated to strings, so
+    ``'10'`` sorts before ``'9'``) and for one without ``repo``."""
+    import pyarrow.compute as pc
+
+    from filters_ray.pipelines.cdc import (
+        RAW_LSN_COLUMN,
+        CDCValidateStage,
+        make_upsert_fn,
+    )
+
+    repos = ['org/b', 'org/a', '', 'org/a']
+    paths = ['z', 'y', 'x', 'y']
+    typed = pa.Table.from_pylist([
+        _event(lsn, 'klingon' if lsn % 5 else 'py',
+               repo=repos[lsn % 4], path=paths[(lsn * 7) % 4])
+        for lsn in (11, 3, 8, 0, 14, 6, 1, 13, 9, 4, 12, 2, 7, 10, 5)])
+    int_repo = pa.Table.from_pylist([
+        dict(_event(lsn, 'klingon'), repo=repo)
+        for lsn, repo in ((20, 9), (21, 10), (22, 9), (23, 100), (24, 10))])
+    no_repo = pa.Table.from_pylist([
+        _event(lsn, 'klingon', path=path)
+        for lsn, path in ((32, 'b'), (30, 'a'), (31, 'b'))]).drop_columns(['repo'])
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    upsert = make_upsert_fn(pipeline.lake_root)
+    validate = CDCValidateStage(num_partitions=1)
+    for batch in (typed, int_repo, no_repo):
+        upsert(validate(batch))
+    names = pipeline.store.read_manifest(0).dlq
+    counts = []
+    for name in names:
+        rows = pq.read_table(pipeline.store.dlq_path(0, name))
+        order = pc.sort_indices(validate(rows), sort_keys=[
+            ('repo', 'ascending'), ('path', 'ascending'),
+            (RAW_LSN_COLUMN, 'ascending')])
+        assert order.to_pylist() == list(range(rows.num_rows)), name
+        counts.append(rows.num_rows)
+    assert counts == [13, 5, 3]
+
+
 @pytest.mark.usefixtures('ray_session')
 def test_dlq_schema_widens_across_commits(tmp_path):
     """A column that first appears in a later run's DLQ file is read for

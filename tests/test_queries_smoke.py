@@ -3,13 +3,15 @@ must never raise, regardless of oracle coverage."""
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-sys.path.insert(0, '/root/repo')
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 SF_DIR = '/root/testdata/sf0.001'
 
@@ -99,7 +101,7 @@ def test_overflow_oracled_queries_match_oracle():
     assert overflow, 'no overflow oracled entries — retire this test'
 
     spec = importlib.util.spec_from_file_location(
-        'check_queries', '/root/repo/tools/check_queries.py')
+        'check_queries', os.path.join(REPO, 'tools', 'check_queries.py'))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     failures = mod.run_checks('/root/testdata/sf0.01', only=overflow)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-sys.path.insert(0, '/root/repo')
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF_DIR = '/root/testdata/sf0.001'
 

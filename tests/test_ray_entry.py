@@ -6,11 +6,12 @@ entry smoke-checked, query/oracle key alignment verified.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, '/root/repo')
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.mark.usefixtures('ray_session')

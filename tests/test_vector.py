@@ -306,17 +306,29 @@ def test_repeater_sliced_list_column():
     lambda: f.Unicode | f.Regex(r'^[a-z]+$') | First(),
     lambda: f.Unicode | f.MaxBytes(2),
     lambda: f.Int,
+    lambda: f.CaseFold,
+    lambda: f.Uuid,
+    lambda: f.IpAddress(ipv4=True, ipv6=True),
+    lambda: f.Datetime,
+    lambda: f.Decimal,
+    lambda: f.Split(r'\s+'),
+    lambda: f.Regex(r'^\w+$'),
+    lambda: f.MaxBytes(3, truncate=True),
 ])
 @pytest.mark.parametrize('values', [
     ['x', 'py', 'py', '', 'abc', None, '12'],
     ['zzzz', 'abc', None, '', 'a\x01b', 'py\r\n', 'é\x02', 'xyz', None],
+    ['zz', 'abcd', 'é', '1.5', 'ß', '1.2.3.4', '::1', '2020-01-02',
+     'March 3, 2020', '7', '1e3', '12345678-1234-5678-1234-567812345678',
+     '{12345678-1234-5678-1234-567812345678}', None, 'a b', '1e-7', 'xyz'],
 ])
 def test_sliced_string_column_keeps_accepted_values(builder, values):
     """A column that is a slice (validation reads a Ray batch's chunk as
     it is, offset included) keeps every accepted row's value when its
-    rejected rows are nulled, defaulted, normalized or truncated.
-    ``pc.if_else(mask, sliced_strings, null)`` gave ``'ab\\x00'`` for
-    ``'abc'`` on pyarrow 16.1."""
+    rejected rows are nulled, defaulted, normalized or truncated, and
+    when the rows a kernel routes to the scalar filter or patches in
+    Python are scattered back. ``pc.if_else(mask, sliced_strings, null)``
+    gave ``'ab\\x00'`` for ``'abc'`` on pyarrow 16.1."""
     column = pa.array(values).slice(1)
     out, errors = compile_chain(builder()).apply_column(column)
     expected_vals, expected_codes = scalar_reference(builder, column.to_pylist())

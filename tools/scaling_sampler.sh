@@ -24,7 +24,7 @@ OUT=${OUT:-/tmp/graft_sampler_r5.jsonl}
 PROTO_OUT=${PROTO_OUT:-/tmp/protocol_r5.jsonl}
 ITERS=${ITERS:-200}
 QUIET_LOAD=${QUIET_LOAD:-1.5}
-cd /root/repo
+cd "$(dirname "$0")/.."
 for i in $(seq 1 "$ITERS"); do
     while [ -e /tmp/graft_busy ]; do sleep 20; done
     load_pre=$(cut -d' ' -f1 /proc/loadavg)

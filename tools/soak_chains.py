@@ -19,12 +19,13 @@ vector/kernels.py).
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 
 import pyarrow as pa
 
-sys.path.insert(0, '/root/repo')
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import filters_ray as f  # noqa: E402
 from filters_ray.vector import compile_chain  # noqa: E402

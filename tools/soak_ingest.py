@@ -65,7 +65,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     logging.getLogger('ray.data').setLevel(logging.ERROR)
 
-    sys.path.insert(0, '/root/repo')
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from bench import event_log_path
 
     from filters_ray.pipelines.cdc import CDCPipeline
