@@ -240,6 +240,29 @@ def _delivered(batch: pa.Table, name: str) -> pa.Array:
 _validate_stage = functools.lru_cache(maxsize=None)(CDCValidateStage)
 
 
+def _return_freed_pages() -> None:
+    """Inside a Ray task, have Arrow's jemalloc give the pages it frees
+    back to the OS at once (decay 0) rather than keep them for reuse: a
+    commit's read and merge free most of what they allocate, and a
+    worker lives on after its task. The task shape's and the maintenance
+    tasks call it first, before their first Arrow allocation, since
+    jemalloc applies it only to arenas created later. The setting is the
+    worker process's, not the task's: Ray reuses a worker, so a Ray Data
+    plan task that runs in a worker after one of those tasks runs under
+    it too, and only a worker that has run none keeps jemalloc's
+    default. Never acts outside a task (the process that calls
+    ``ray.init`` has no task id), and is a no-op where Arrow is built
+    without jemalloc."""
+    import ray
+
+    if not ray.is_initialized() or ray.get_runtime_context().get_task_id() is None:
+        return
+    try:
+        pa.jemalloc_set_decay_ms(0)
+    except NotImplementedError:
+        pass
+
+
 def validate(key: tuple, batch: pa.Table) -> pa.Table:
     """Validate ``batch`` under config ``key`` (its name is the plan's
     ``MapBatches(validate)`` operator name)."""
@@ -453,15 +476,26 @@ def _lake_schema(store: ManifestStore,
 def _read_files(paths: List[str], schema: Optional[pa.Schema]) -> pa.Table:
     """Read parquet files as one table, rows in file order, under
     ``schema`` (:func:`_lake_schema` for lake files, :func:`_widened_schema`
-    for events as delivered): a column a file lacks reads as null, a
-    narrower type is cast up, and a column outside ``schema`` is not
-    read. The ``part=<p>`` directories are not hive partitions: no
-    ``part`` column is derived from the path."""
-    return pq.read_table(paths, schema=schema, partitioning=None)
+    for events as delivered; the first file's own schema when None): a column a file lacks reads as null, a
+    narrower type is cast up (:func:`align_table`), and a column outside
+    ``schema`` is not read. The engine's one reader of whole files: each
+    file is opened directly, never through Arrow's Dataset scanner, which
+    buffers a whole compressed file and keeps its module and threads
+    resident. Paths are files, so the ``part=<p>`` directories add no
+    column, and a missing file raises ``FileNotFoundError``."""
+    if schema is None:
+        schema = pq.read_schema(paths[0])
+    tables = []
+    for path in paths:
+        with pq.ParquetFile(path) as f:
+            names = [n for n in f.schema_arrow.names if n in schema.names]
+            tables.append(align_table(f.read(columns=names), schema))
+    return pa.concat_tables(tables)
 
 
 def _read_dataset(paths: List[str], schema: Optional[pa.Schema]):
-    """:func:`_read_files` as a streaming ``ray.data.Dataset``."""
+    """:func:`_read_files`'s rule as a streaming ``ray.data.Dataset``,
+    for the Ray Data plan and the lake's Dataset readers."""
     import ray.data as rd
 
     return rd.read_parquet(paths, schema=schema, partitioning=None)
@@ -958,6 +992,7 @@ def _partition_task(lake_root: str, pid: int, attempt: Callable, *args):
     :func:`_commit_optimistically`, so it is safe alongside live ingest
     and other maintenance. Module-level so it ships as a Ray task (see
     :meth:`CDCPipeline._per_partition`)."""
+    _return_freed_pages()
     store = ManifestStore(lake_root)
     return _commit_optimistically(
         pid, lambda staged: attempt(store, pid, staged, *args))
@@ -1069,15 +1104,19 @@ def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
 def _commit_task(validate, upsert, cpus: int, paths: List[str],
                  *blocks: pa.Table) -> tuple:
     """The task shape's whole commit in one task's heap: read the input
-    (files under their widened schema, or the dataset's blocks), validate
-    it as one batch, take the stable ``_part`` order (input order inside
-    each partition, as the plan's exchange keeps it) and upsert the
-    partitions in ``min(partitions, cpus)`` contiguous shares. This task
-    upserts the first share; each other share's rows, and only those, go
-    to a sibling :func:`_upsert_share` task. No sorted copy of the batch
-    is built: a partition's rows are one ``take`` of its stretch of the
-    order. One task per partition measured slower on one CPU than one per
-    CPU. Returns ``(summary rows in partition order, stats text)``."""
+    (files through :func:`_read_files` under their widened schema, or the
+    dataset's blocks), validate it as one batch, take the stable
+    ``_part`` order (input order inside each partition, as the plan's
+    exchange keeps it) and upsert the partitions in ``min(partitions,
+    cpus)`` contiguous shares. This task upserts the first share; each
+    other share's rows, and only those, go to a sibling
+    :func:`_upsert_share` task. No sorted copy of the batch is built: a
+    partition's rows are one ``take`` of its stretch of the order. One
+    task per partition measured slower on one CPU than one per CPU. The
+    worker returns the pages Arrow frees at once
+    (:func:`_return_freed_pages`). Returns ``(summary rows in partition
+    order, stats text)``."""
+    _return_freed_pages()
     wall, cpu = time.perf_counter(), time.process_time()
     if paths:
         batch = _read_files(paths, _widened_schema(paths))
@@ -1118,6 +1157,7 @@ def _upsert_share(upsert, batch: pa.Table, ranges: List[tuple],
     """Run ``upsert`` on each ``(lo, hi)`` range's partition group: the
     rows ``order[lo:hi]`` names, or without an order the zero-copy slice
     ``lo:hi``. Returns ``(summary rows, wall s, cpu s)``."""
+    _return_freed_pages()
     wall, cpu = time.perf_counter(), time.process_time()
     rows = []
     for lo, hi in ranges:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pytest
 
-from filters_ray.pipelines.cdc import CDCPipeline
+from filters_ray.pipelines.cdc import CDCPipeline, _read_files, _widened_schema
 from filters_ray.sources.synth import SynthConfig, make_events
 
 
@@ -212,3 +212,103 @@ def test_log_lacking_a_key_column_is_dead_lettered(tmp_path, lacking):
     assert report.lake_rows == 0
     assert pipeline.final_table().num_rows == 0
     assert pipeline.rejection_counts() == {'missing': log.num_rows}
+
+
+# Each case: the files to write (path relative to the test directory,
+# table), the schema to read them under (a schema, or a function of the
+# paths), and the table expected, or the exception a read raises.
+_READ_CASES = {
+    'a column a file lacks reads as null': (
+        [('a.parquet', pa.table({'k': [1]})),
+         ('b.parquet', pa.table({'k': [2], 'x': ['q']}))],
+        _widened_schema,
+        pa.table({'k': [1, 2], 'x': [None, 'q']})),
+    'int32 is cast up to int64': (
+        [('a.parquet', pa.table({'k': pa.array([1, 2], pa.int32())})),
+         ('b.parquet', pa.table({'k': pa.array([3], pa.int64())}))],
+        _widened_schema,
+        pa.table({'k': pa.array([1, 2, 3], pa.int64())})),
+    'string and binary read as binary': (
+        [('a.parquet', pa.table({'c': pa.array(['s'], pa.string())})),
+         ('b.parquet', pa.table({'c': pa.array([b'b'], pa.binary())}))],
+        _widened_schema,
+        pa.table({'c': pa.array([b's', b'b'], pa.binary())})),
+    'a column outside the schema is not read': (
+        [('a.parquet', pa.table({'k': [1], 'x': ['q'], 'y': [2.5]}))],
+        pa.schema([('k', pa.int64())]),
+        pa.table({'k': [1]})),
+    'part=<p> directories add no column': (
+        [('part=3/a.parquet', pa.table({'k': [1]})),
+         ('part=5/b.parquet', pa.table({'k': [2]}))],
+        pa.schema([('k', pa.int64())]),
+        pa.table({'k': [1, 2]})),
+    'rows stay in file order across files': (
+        [('z.parquet', pa.table({'k': [9, 8]})),
+         ('a.parquet', pa.table({'k': [1]})),
+         ('m.parquet', pa.table({'k': [5, 4]}))],
+        pa.schema([('k', pa.int64())]),
+        pa.table({'k': [9, 8, 1, 5, 4]})),
+    'a missing file raises FileNotFoundError': (
+        [('a.parquet', pa.table({'k': [1]})), ('gone.parquet', None)],
+        pa.schema([('k', pa.int64())]),
+        FileNotFoundError),
+}
+
+
+@pytest.mark.parametrize('case', list(_READ_CASES))
+def test_read_files(tmp_path, case):
+    """``_read_files``, the engine's one reader of whole parquet files
+    (commit input, merge-on-read, final_table, as-of, vacuum, redrive):
+    each behaviour it must keep, one file list per case, read in the
+    order given."""
+    import pyarrow.parquet as pq
+
+    files, schema, expected = _READ_CASES[case]
+    paths = []
+    for rel, table in files:
+        paths.append(str(tmp_path / rel))
+        if table is not None:
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            pq.write_table(table, paths[-1])
+    if callable(schema):
+        schema = schema([p for p, (_, t) in zip(paths, files) if t is not None])
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            _read_files(paths, schema)
+        return
+    out = _read_files(paths, schema)
+    assert out.schema == expected.schema
+    assert out.equals(expected)
+
+
+def test_commit_and_final_table_leave_arrow_dataset_unimported(tmp_path):
+    """A commit task run in process and ``final_table()`` read parquet
+    without Arrow's Dataset scanner: ``pyarrow.dataset`` is never
+    imported (its module and scanner threads would stay resident in a
+    worker that imported it)."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent('''
+        import sys
+        import pyarrow.parquet as pq
+        from filters_ray.pipelines.cdc import (
+            CDCPipeline, _commit_task, _make_validate_fn, make_upsert_fn)
+        from filters_ray.sources.synth import SynthConfig, make_events
+        events, lake = sys.argv[1], sys.argv[2]
+        pq.write_table(make_events(SynthConfig(n_keys=50, n_events=300, seed=3)), events)
+        pipeline = CDCPipeline(lake, num_partitions=4)
+        _commit_task(_make_validate_fn(4, None, True), make_upsert_fn(lake), 1, [events])
+        assert pipeline.final_table().num_rows > 0
+        print('pyarrow.dataset' in sys.modules)
+    ''')
+    env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS='')
+    out = subprocess.run(
+        [sys.executable, '-c', script, str(tmp_path / 'events.parquet'),
+         str(tmp_path / 'lake')],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ['False']

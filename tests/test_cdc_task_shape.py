@@ -285,3 +285,57 @@ def test_materialized_blocks_of_mixed_lsn_width_commit_as_their_files(tmp_path):
     assert lakes['blocks'] == lakes['files'] == lakes['lazy']
     assert final_state_digests(lakes['files'][2]) == \
         replay_oracle(log.to_pylist()).sha256_by_key()
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_only_engine_tasks_return_freed_pages(tmp_path, monkeypatch):
+    """``pa.jemalloc_set_decay_ms`` is called inside Ray tasks only:
+    never in the calling process by ``run()``, ``final_table()``, or a
+    redrive and vacuum run inline without Ray; a commit task run inside a
+    Ray task calls it, and where Arrow lacks jemalloc
+    (``NotImplementedError``) the commit goes on."""
+    import pyarrow as pa
+    import ray
+
+    from filters_ray.sources.synth import LANGS
+
+    log = make_events(SynthConfig(n_keys=60, n_events=400, n_repos=6, seed=61))
+    [path] = write_files(log, str(tmp_path / 'in'), 1)
+    lake = str(tmp_path / 'lake')
+    calls = []
+    monkeypatch.setattr(pa, 'jemalloc_set_decay_ms', calls.append)
+    pipeline = CDCPipeline(lake, num_partitions=4, retain_history=True)
+    assert pipeline.run(path).events_applied > 0
+    assert pipeline.final_table().num_rows > 0
+    with monkeypatch.context() as m:
+        m.setattr(ray, 'is_initialized', lambda: False)
+        pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+        pipeline.vacuum_history(10 ** 9)
+    assert calls == []
+
+    def in_a_task(events: str, root: str) -> list:
+        import pyarrow as pa
+
+        from filters_ray.pipelines import cdc
+
+        def commit() -> None:
+            cdc._commit_task(cdc._make_validate_fn(4, None, True),
+                             cdc.make_upsert_fn(root), 1, [events])
+
+        def unbuilt(ms):
+            raise NotImplementedError('jemalloc not built in')
+
+        real, counted = pa.jemalloc_set_decay_ms, []
+        try:
+            pa.jemalloc_set_decay_ms = counted.append
+            commit()
+            pa.jemalloc_set_decay_ms = unbuilt
+            commit()
+        finally:
+            pa.jemalloc_set_decay_ms = real
+        return counted
+
+    other = str(tmp_path / 'other')
+    CDCPipeline(other, num_partitions=4)
+    counted = ray.get(ray.remote(in_a_task).remote(path, other))
+    assert counted and set(counted) == {0}

@@ -665,3 +665,32 @@ def test_dlq_reads_and_redrives_content_delivered_as_string_then_binary(tmp_path
     assert pipeline.dlq_dataset().count() == 0
     assert {path: pipeline.lookup('org/r', path)['content']
             for path in ('f1', 'f2')} == {'f1': b'body 1', 'f2': b'body 2'}
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.xfail(strict=True, raises=pa.ArrowTypeError, reason=(
+    'the DLQ files are combined under permissive promotion, which has '
+    'no rule for int64 against string, so reading them raises'))
+def test_dlq_with_conflicting_delivered_types_redrives(tmp_path):
+    """Two runs deliver ``repo`` with different types, an integer, then a
+    string, and both events are dead-lettered into one partition for
+    their lang. The DLQ must stay readable and redrivable: the
+    string-``repo`` event is applied, and the integer-``repo`` event,
+    which no chain accepts, stays in the DLQ."""
+    import ray.data as rd
+
+    from filters_ray.sources.synth import LANGS
+
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    int_run = pa.Table.from_pylist([_event(1, 'klingon', repo=7)])
+    string_run = pa.Table.from_pylist([_event(2, 'klingon')])
+    assert int_run.schema.field('repo').type == pa.int64()
+    for log in (int_run, string_run):
+        pipeline.run(rd.from_arrow(log))
+    assert len(pipeline.store.read_manifest(0).dlq) == 2
+
+    assert pipeline.dlq_dataset().materialize().count() == 2
+    redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+    assert redrive.events_applied == 1
+    assert pipeline.lookup('org/r', 'f2')['content'] == 'body 2'
+    assert [r['lsn'] for r in pipeline.dlq_dataset().take_all()] == [1]
