@@ -524,6 +524,13 @@ def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]
     return [store.delta_path(pid, name) for name in names]
 
 
+def _active_deltas(manifests: Iterable[Optional[PartitionManifest]]) -> bool:
+    """Whether any committed partition lists an active delta: the rule
+    by which a whole-lake read merges on read in engine tasks, or reads
+    the base files where it is called (a fresh or just-compacted lake)."""
+    return any(m is not None and m.deltas for m in manifests)
+
+
 def _live_rows(store: ManifestStore, pid: int, manifest,
                schema: Optional[pa.Schema], *extra: pa.Table) -> Optional[pa.Table]:
     """A partition's live rows: its base + listed deltas, read under
@@ -985,17 +992,73 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     return _summary_row(pid, group.num_rows, clean.num_rows, skipped, counts)
 
 
-def _partition_task(lake_root: str, pid: int, attempt: Callable, *args):
+def _commit_share(pids: List[int], lake_root: str, attempt: Callable, *args) -> list:
     """Commit one partition's maintenance ``attempt(store, pid, staged,
-    *args)``
-    (vacuum or redrive) like any writer, through
-    :func:`_commit_optimistically`, so it is safe alongside live ingest
-    and other maintenance. Module-level so it ships as a Ray task (see
-    :meth:`CDCPipeline._per_partition`)."""
+    *args)`` (vacuum or redrive) on each partition of a share, in order,
+    each like any writer, through :func:`_commit_optimistically`, so it
+    is safe alongside live ingest and other maintenance. Returns the
+    results in ``pids`` order. A :func:`_fan_out` share function."""
     _return_freed_pages()
     store = ManifestStore(lake_root)
-    return _commit_optimistically(
+    return [_commit_optimistically(
         pid, lambda staged: attempt(store, pid, staged, *args))
+        for pid in pids]
+
+
+def _live_share(groups: List[List[str]], schema: Optional[pa.Schema],
+                lsn: Optional[int]) -> pa.Table:
+    """One share of partitions' live rows: each group is one partition's
+    files (base + listed deltas, or an as-of history window), read under
+    ``schema`` and merged on read (LWW, tombstones dropped); with ``lsn``,
+    only rows at or below it take part. Returns the share's rows in
+    (repo, path) order (:func:`_by_key`). A :func:`_fan_out` share
+    function, and the caller's own read of a lake without deltas."""
+    _return_freed_pages()
+    tables = []
+    for paths in groups:
+        table = _read_files(paths, schema)
+        if lsn is not None:
+            table = table.filter(pc.less_equal(table.column('last_lsn'), lsn))
+        tables.append(_merge_partition_tables([table]))
+    return _by_key(tables)
+
+
+def _by_key(tables: List[pa.Table]) -> pa.Table:
+    """Tables each in (repo, path) order and with disjoint keys (each
+    from its own partitions) as one table in that order: the one
+    non-empty table as it is, several concatenated and sorted, none an
+    empty table without columns."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return pa.table({})
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables).sort_by(
+        [('repo', 'ascending'), ('path', 'ascending')])
+
+
+def _shares(items: list, cpus: int) -> List[list]:
+    """``items`` in ``min(len(items), cpus)`` contiguous shares, in
+    order (none for no item): the engine's one split of partitions
+    over tasks."""
+    n = max(1, min(len(items), cpus))
+    cuts = [i * len(items) // n for i in range(n + 1)]
+    return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
+def _fan_out(share_fn: Callable, items: list, *args) -> list:
+    """``share_fn(share, *args)`` over :func:`_shares` of ``items``, one
+    Ray task per share when a Ray session is up, one inline call over all
+    items when there is none. Returns each share's result, in item
+    order. The commit task splits its partitions the same way: one task
+    per partition measured slower on one CPU than one per CPU."""
+    import ray
+
+    if not ray.is_initialized():
+        return [share_fn(items, *args)] if items else []
+    task = ray.remote(share_fn)
+    cpus = int(ray.cluster_resources().get('CPU', 1))
+    return ray.get([task.remote(share, *args) for share in _shares(items, cpus)])
 
 
 def _vacuum_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
@@ -1131,9 +1194,7 @@ def _commit_task(validate, upsert, cpus: int, paths: List[str],
         bounds = np.flatnonzero(np.diff(parts[order], prepend=-1, append=-1)).tolist()
         ranges = list(zip(bounds, bounds[1:]))
     validated = (time.perf_counter() - wall, time.process_time() - cpu)
-    n = max(1, min(len(ranges), cpus))
-    cuts = [i * len(ranges) // n for i in range(n + 1)]
-    shares = [ranges[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    shares = _shares(ranges, cpus)
     siblings = []
     if len(shares) > 1:
         import ray
@@ -1331,20 +1392,6 @@ class CDCPipeline:
         report.lake_rows = int(sum(m.rows for m in self.store.all_manifests().values()))
         return report
 
-    def _per_partition(self, pids: Iterable[int], attempt: Callable, *args) -> list:
-        """Commit ``attempt`` on each partition in ``pids`` (see
-        :func:`_partition_task`), as one Ray task per partition when a Ray
-        session is up and inline only when there is none. Partitions
-        commit independently, so the work scales with files per
-        partition, not with the lake. Returns the results in ``pids``
-        order."""
-        import ray
-
-        if not ray.is_initialized():
-            return [_partition_task(self.lake_root, pid, attempt, *args) for pid in pids]
-        task = ray.remote(_partition_task)
-        return ray.get([task.remote(self.lake_root, pid, attempt, *args) for pid in pids])
-
     # -- continuous tail -------------------------------------------------
 
     def tail(
@@ -1414,19 +1461,25 @@ class CDCPipeline:
         return _live_rows(self.store, pid, manifest, _lake_schema(self.store))
 
     def final_table(self) -> pa.Table:
-        """Read the whole lake (tests / small scales only); every
-        partition is read under the one lake schema."""
+        """The whole lake's live rows in (repo, path) order (tests /
+        small scales only); every partition is read under the one lake
+        schema, an empty lake is an empty table without columns.
+
+        :meth:`as_dataset`'s rule decides where the merge runs. With no
+        active deltas anywhere (a fresh or just-compacted lake) this
+        process reads the base files. Otherwise the merge-on-read runs in
+        engine tasks, one per CPU share of the partitions
+        (:func:`_fan_out`, :func:`_live_share`), so this process receives
+        the answer, never the files' history rows: it only joins the
+        shares' sorted answers (one share's as it is)."""
         manifests = [self.store.read_manifest(pid)
                      for pid in range(self.num_partitions)]
         schema = _lake_schema(self.store)
-        tables = [_live_rows(self.store, pid, m, schema)
-                  for pid, m in enumerate(manifests)]
-        tables = [t for t in tables if t is not None and t.num_rows]
-        if not tables:
-            return pa.table({})
-        return pa.concat_tables(tables).sort_by(
-            [('repo', 'ascending'), ('path', 'ascending')],
-        )
+        groups = [paths for paths in (_partition_file_paths(self.store, pid, m)
+                                      for pid, m in enumerate(manifests)) if paths]
+        if not _active_deltas(manifests):
+            return _live_share(groups, schema, None)
+        return _by_key(_fan_out(_live_share, groups, schema, None))
 
     # -- change-data-feed + time travel (retain_history lakes) -----------
 
@@ -1515,24 +1568,14 @@ class CDCPipeline:
         within one micro-batch a key's overwritten versions were
         collapsed by that batch's LWW, so an ``lsn`` splitting a batch's
         per-key update run reflects only the batch's winners (commit
-        granularity, as documented for :meth:`changes`)."""
+        granularity, as documented for :meth:`changes`). This process
+        picks each partition's window by file name; the window merges run
+        in engine tasks, as :meth:`final_table`'s merge does."""
         self._require_history('table_as_of()')
         windows = self._history_window(f'table_as_of({lsn})', lsn, -1, lsn)
         schema = _lake_schema(self.store)
-        out = []
-        for paths in windows.values():
-            if not paths:
-                continue
-            t = _read_files(paths, schema)
-            merged = _merge_partition_tables(
-                [t.filter(pc.less_equal(t.column('last_lsn'), lsn))])
-            if merged.num_rows:
-                out.append(merged)
-        if not out:
-            return pa.table({})
-        return pa.concat_tables(out).sort_by(
-            [('repo', 'ascending'), ('path', 'ascending')],
-        )
+        return _by_key(_fan_out(
+            _live_share, [paths for paths in windows.values() if paths], schema, lsn))
 
     def vacuum_history(self, before_lsn: int) -> int:
         """Reclaim history files whose whole LSN window is < before_lsn
@@ -1552,11 +1595,14 @@ class CDCPipeline:
         as deltas (compaction drops them later).
 
         Partitions vacuum independently, each its own optimistic commit
-        (:meth:`_per_partition`): the 64M soak measured a one-process sequential
-        loop at 45 s for 640 files, scaling with reclaimed-file count;
-        as one task per partition it scales with files per partition."""
-        return sum(self._per_partition(
-            range(self.num_partitions), _vacuum_attempt, before_lsn))
+        (:func:`_commit_share`), in engine tasks, one per CPU share of
+        the partitions (:func:`_fan_out`; inline without a Ray session):
+        the 64M soak measured a one-process sequential loop at 45 s for
+        640 files, scaling with reclaimed-file count; fanned out, it
+        scales with files per share."""
+        return sum(sum(share) for share in _fan_out(
+            _commit_share, list(range(self.num_partitions)), self.lake_root,
+            _vacuum_attempt, before_lsn))
 
     def replay_dlq(
         self,
@@ -1568,8 +1614,8 @@ class CDCPipeline:
 
         The DLQ files hold the events as delivered, and each already sits
         in its key's partition, so a redrive is one optimistic commit per
-        partition whose manifest lists DLQ files, like vacuum
-        (:meth:`_per_partition`, :func:`_redrive_attempt`): read the
+        partition whose manifest lists DLQ files, fanned out like vacuum
+        (:func:`_commit_share`, :func:`_redrive_attempt`): read the
         manifest, read and validate the DLQ files it lists, and commit
         conditional on the manifest read. No Ray Data plan and no exchange
         run. Rows that validate are merged into the lake (LWW vs the base
@@ -1585,9 +1631,11 @@ class CDCPipeline:
             allow_extra_keys if allow_extra_keys is not None else self.allow_extra_keys,
         )
         pids = [pid for pid, m in self.store.all_manifests().items() if m.dlq]
-        return self._report(row for rows in self._per_partition(
-            pids, _redrive_attempt, validate, self.compact_every, self.retain_history)
-            for row in rows)
+        return self._report(
+            row for share in _fan_out(
+                _commit_share, pids, self.lake_root, _redrive_attempt, validate,
+                self.compact_every, self.retain_history)
+            for rows in share for row in rows)
 
     def as_dataset(self, columns: Optional[List[str]] = None):
         """The lake as a streaming ``ray.data.Dataset`` (the reader a
@@ -1617,7 +1665,7 @@ class CDCPipeline:
             pid: self.store.read_manifest(pid)
             for pid in range(self.num_partitions)
         }
-        if not any(m is not None and m.deltas for m in manifests.values()):
+        if not _active_deltas(manifests.values()):
             paths = [self.store.delta_path(pid, m.base)
                      for pid, m in manifests.items() if m is not None and m.base]
             if not paths:

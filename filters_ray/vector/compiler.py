@@ -142,6 +142,10 @@ class CompiledChain:
         if enc is not None:
             self.dict_fast_path_hits += 1
             return self._apply_dictionary(enc, plain=arr)
+        return self._apply_plain(arr)
+
+    def _apply_plain(self, arr: pa.Array) -> Tuple[pa.Array, ColumnErrors]:
+        """:meth:`apply_column`'s row-wise path: every step over every row."""
         n = len(arr)
         errors = ColumnErrors(n)
         ok = np.ones(n, dtype=bool)
@@ -193,10 +197,12 @@ class CompiledChain:
 
     # Auto-encode gate (VERDICT r4 #8): parquet readers decode dictionary
     # pages back to plain strings, so the dictionary fast path was
-    # unreachable from a real read. Probe a prefix; when a big string
-    # column is low-cardinality (CDC's repo/lang/op), one C hash pass
-    # buys running the whole chain over the uniques instead of every row.
-    _DICT_MIN_ROWS = 4096        # below this the plain path is cheap anyway
+    # unreachable from a real read. Probe a prefix; when a string column
+    # is low-cardinality (CDC's repo/lang/op), one C hash pass buys
+    # running the whole chain over the uniques instead of every row, and
+    # a column the chain leaves unchanged keeps its input buffers. No row
+    # minimum: the plain path copies such a column however short it is
+    # (a small tail() file, a DLQ file).
     _DICT_PROBE = 1024           # prefix rows to probe
     _DICT_PROBE_MAX_UNIQUE = 128  # probe uniques above this → skip
     dict_fast_path_hits = 0      # instance-shadowed instrumentation counter
@@ -207,8 +213,6 @@ class CompiledChain:
         DictionaryArray, or None to take the plain path. Output values and
         error masks are identical either way (`_apply_dictionary` gathers
         decoded results back through the indices; parity-tested)."""
-        if len(arr) < self._DICT_MIN_ROWS:
-            return None
         if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
             return None
         probe = arr.slice(0, self._DICT_PROBE)
@@ -239,7 +243,9 @@ class CompiledChain:
         vals = arr.dictionary
         sentinel = len(vals)
         vals_plus = pa.concat_arrays([vals, pa.nulls(1, type=vals.type)])
-        out_vals, val_errors = self.apply_column(vals_plus)
+        # Unique values: encoding them again never pays (and an empty
+        # dictionary would recurse forever).
+        out_vals, val_errors = self._apply_plain(vals_plus)
 
         idx = pc.fill_null(arr.indices, sentinel).cast(pa.int64())
         idx_np = np.asarray(idx.to_numpy(zero_copy_only=False), dtype=np.int64)

@@ -339,3 +339,205 @@ def test_only_engine_tasks_return_freed_pages(tmp_path, monkeypatch):
     CDCPipeline(other, num_partitions=4)
     counted = ray.get(ray.remote(in_a_task).remote(path, other))
     assert counted and set(counted) == {0}
+
+
+# -- whole-lake reads and maintenance fan out one task per CPU share ----------
+
+
+def _inline(call, *args):
+    """``call(*args)`` as with no Ray session: every share in this process."""
+    import ray
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ray, 'is_initialized', lambda: False)
+        return call(*args)
+
+
+def read_case_lake(root: str, case: str):
+    """A 4-partition retained-history lake for one read case, and its
+    commit boundaries (``hwm_lsn`` after each commit):
+
+    * ``no_deltas``: ``compact_every=1``, so each commit after a
+      partition's first compacts it into a base;
+    * ``retained``: four delta commits;
+    * ``added_column``: the last commit adds a ``branch`` column;
+    * ``all_deleted_partition``: a fifth commit deletes every key of
+      partition 0."""
+    import pyarrow as pa
+
+    from filters_ray.pipelines.cdc import key_partition
+
+    log = make_events(SynthConfig(n_keys=60, n_events=480, n_repos=6, seed=71))
+    paths = write_files(log, os.path.join(root, 'in'), 4)
+    if case == 'added_column':
+        late = pq.read_table(paths[-1])
+        pq.write_table(late.append_column(
+            'branch', pa.array([f'b{i % 3}' for i in range(late.num_rows)])), paths[-1])
+    pipeline = CDCPipeline(os.path.join(root, 'lake'), num_partitions=4,
+                           compact_every=1 if case == 'no_deltas' else 8,
+                           retain_history=True)
+    boundaries = []
+    for path in paths:
+        pipeline.run(path)
+        boundaries.append(pipeline.lake_report()['hwm_lsn'])
+    if case == 'all_deleted_partition':
+        live = pipeline.final_table()
+        parts = key_partition(live.column('repo'), live.column('path'), 4)
+        doomed = live.filter(pa.array(parts == 0)).to_pylist()
+        assert doomed
+        deletes = pa.Table.from_pylist([
+            {**{c: row[c] for c in log.column_names if c in row},
+             'op': 'delete', 'lsn': boundaries[-1] + 1 + i}
+            for i, row in enumerate(doomed)]).select(log.column_names)
+        path = os.path.join(root, 'in', 'wal-9999.parquet')
+        pq.write_table(deletes, path)
+        pipeline.run(path)
+        boundaries.append(pipeline.lake_report()['hwm_lsn'])
+    return pipeline, boundaries
+
+
+@pytest.mark.usefixtures('ray_session')
+@pytest.mark.parametrize('case', ['no_deltas', 'retained', 'added_column',
+                                  'all_deleted_partition'])
+def test_whole_lake_reads_in_tasks_equal_inline(tmp_path, case):
+    """``final_table()`` and ``table_as_of()`` at every commit boundary
+    give, under Ray (one task per CPU share), the tables they give inline
+    without a Ray session, in (repo, path) order."""
+    pipeline, boundaries = read_case_lake(str(tmp_path), case)
+    deltas = pipeline.lake_report()['active_deltas']
+    assert (deltas == 0) == (case == 'no_deltas')
+    table = pipeline.final_table()
+    assert table.equals(_inline(pipeline.final_table))
+    assert table.num_rows > 0
+    keys = list(zip(table.column('repo').to_pylist(), table.column('path').to_pylist()))
+    assert keys == sorted(keys)
+    if case == 'added_column':
+        assert 'branch' in table.column_names
+    if case == 'all_deleted_partition':
+        assert pipeline.store.read_manifest(0).rows == 0
+    for lsn in boundaries:
+        as_of = pipeline.table_as_of(lsn)
+        assert as_of.equals(_inline(pipeline.table_as_of, lsn)), lsn
+    assert pipeline.table_as_of(boundaries[-1]).equals(table)
+
+
+def test_whole_lake_reads_equal_inline_on_one_and_two_cpus(tmp_path):
+    """The same equality in 1-CPU and 2-CPU Ray sessions (one share, the
+    answer as the task returned it; two shares, joined in order)."""
+    import subprocess
+    import sys
+    import textwrap
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent('''
+        import sys
+        import ray
+        from test_cdc_task_shape import _inline, read_case_lake
+
+        def start(cpus):
+            ray.init(address='local', num_cpus=cpus, include_dashboard=False,
+                     logging_level='ERROR')
+
+        def reads():
+            return [pipeline.final_table()] + [pipeline.table_as_of(b) for b in boundaries]
+
+        start(1)
+        pipeline, boundaries = read_case_lake(sys.argv[1], 'retained')
+        got = {1: reads()}
+        inline = _inline(reads)
+        ray.shutdown()
+        start(2)
+        got[2] = reads()
+        ray.shutdown()
+        for cpus, tables in got.items():
+            print(cpus, all(a.equals(b) for a, b in zip(tables, inline)))
+    ''')
+    env = dict(os.environ, RAY_ADDRESS='', PYTHONPATH=os.pathsep.join(
+        [root, os.path.join(root, 'tests')]))
+    out = subprocess.run([sys.executable, '-c', script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ['1', 'True', '2', 'True']
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_driver_opens_only_bases(tmp_path, monkeypatch):
+    """Counted at ``_read_files`` in this process: on a lake with active
+    deltas, ``final_table()`` and ``table_as_of()`` open no lake file
+    here (the merges run in tasks); on a lake without, ``final_table()``
+    opens only the base files, here."""
+    from filters_ray.pipelines import cdc
+
+    opened = []
+    real = cdc._read_files
+
+    def counted(paths, schema):
+        opened.extend(os.path.basename(p) for p in paths)
+        return real(paths, schema)
+
+    monkeypatch.setattr(cdc, '_read_files', counted)
+    deltas, boundaries = read_case_lake(str(tmp_path / 'deltas'), 'retained')
+    opened.clear()
+    assert deltas.final_table().num_rows and deltas.table_as_of(boundaries[1]).num_rows
+    assert opened == []
+
+    bases, _ = read_case_lake(str(tmp_path / 'bases'), 'no_deltas')
+    opened.clear()
+    assert bases.final_table().num_rows
+    assert len(opened) == 4 and all(n.startswith('base-') for n in opened), opened
+
+
+@pytest.mark.usefixtures('ray_session')
+def test_maintenance_runs_one_task_per_cpu_share(tmp_path, monkeypatch):
+    """``replay_dlq`` and ``vacuum_history`` run ``min(partitions, CPUs)``
+    tasks, results in partition order, and leave the lake a run inline
+    leaves."""
+    import ray
+
+    from filters_ray.pipelines import cdc
+    from filters_ray.sources.synth import LANGS
+
+    cpus = int(ray.cluster_resources()['CPU'])
+    log = make_events(SynthConfig(n_keys=200, n_events=1600, n_repos=8, seed=73))
+    paths = write_files(log, str(tmp_path / 'in'), 2)
+    lakes = {}
+    for side in ('tasks', 'inline'):
+        lakes[side] = CDCPipeline(str(tmp_path / side), num_partitions=8,
+                                  retain_history=True)
+        for path in paths:
+            lakes[side].run(path)
+    pids = [pid for pid, m in lakes['tasks'].store.all_manifests().items() if m.dlq]
+    assert len(pids) > 1
+
+    launched = []
+    real_remote = ray.remote
+
+    def counting_remote(fn):
+        task = real_remote(fn)
+
+        class Counted:
+            @staticmethod
+            def remote(*args):
+                launched.append(fn.__name__)
+                return task.remote(*args)
+        return Counted()
+
+    langs = list(LANGS) + ['klingon']
+    boundary = lakes['tasks'].lake_report()['hwm_lsn']
+    with monkeypatch.context() as m:
+        m.setattr(ray, 'remote', counting_remote)
+        redrive = lakes['tasks'].replay_dlq(langs=langs)
+        assert launched == ['_commit_share'] * min(len(pids), cpus)
+        launched.clear()
+        removed = lakes['tasks'].vacuum_history(boundary)
+        assert launched == ['_commit_share'] * min(8, cpus)
+        launched.clear()
+        order = cdc._fan_out(cdc._commit_share, list(range(8)), lakes['tasks'].lake_root,
+                             lambda store, pid, staged: pid)
+        assert len(launched) == min(8, cpus)
+    assert [pid for share in order for pid in share] == list(range(8))
+    assert redrive == _inline(lakes['inline'].replay_dlq, langs)
+    assert removed == _inline(lakes['inline'].vacuum_history, boundary) > 0
+    a, b = lake_files(lakes['tasks'].lake_root), lake_files(lakes['inline'].lake_root)
+    assert sorted(a) == sorted(b)
+    assert [k for k in a if a[k] != b[k]] == []

@@ -191,7 +191,7 @@ def test_auto_dict_fast_path_fires_on_flagship_batch():
     from filters_ray.sources.synth import SynthConfig, make_events
 
     batch = make_events(SynthConfig(n_keys=3000, n_events=9000, seed=5))
-    assert batch.num_rows >= 8192  # above the gate's _DICT_MIN_ROWS
+    assert batch.num_rows >= 8192  # well past the gate's 1,024-row probe
 
     stage = CDCValidateStage(num_partitions=16)
     out = stage(batch)
@@ -206,6 +206,22 @@ def test_auto_dict_fast_path_fires_on_flagship_batch():
         assert hits.get(col, 0) >= 1, (col, hits)
     for col in ('commit', 'path', 'content'):
         assert hits.get(col, 0) == 0, (col, hits)
+
+
+def test_short_batch_keeps_the_repo_and_lang_buffers():
+    """A batch far below 4,096 rows (a small ``tail()`` file, a DLQ file
+    a redrive validates) keeps the input data buffers of its
+    low-cardinality ``repo`` and ``lang`` columns, as a long one does:
+    the dictionary fast path has no row minimum."""
+    from filters_ray.pipelines.cdc import _make_validate_fn
+    from filters_ray.sources.synth_fast import make_events_fast
+
+    batch = make_events_fast(1000, n_keys=200, seed=53)
+    out = _make_validate_fn(8, None, True)(batch)
+    for col in ('repo', 'lang'):
+        given, got = batch.column(col), out.column(col)
+        assert (given.num_chunks, got.num_chunks) == (1, 1)
+        assert got.chunk(0).buffers()[2].address == given.chunk(0).buffers()[2].address, col
 
 
 def test_validated_columns_keep_the_input_buffers(tmp_path):

@@ -418,7 +418,7 @@ class TestAutoDictionaryEncode:
         assert compiled.dict_fast_path_hits == 1
 
         # Parity vs the gate held shut (the plain row-wise path).
-        monkeypatch.setattr(type(compiled), '_DICT_MIN_ROWS', 10**9)
+        monkeypatch.setattr(type(compiled), '_DICT_PROBE_MAX_UNIQUE', -1)
         out_plain, err_plain = compiled.apply_column(col)
         assert out_fast.to_pylist() == out_plain.to_pylist()
         assert [sorted(r) for r in err_fast.codes_per_row()] == \
@@ -441,8 +441,17 @@ class TestAutoDictionaryEncode:
         compiled.apply_column(col)
         assert compiled.dict_fast_path_hits == 0
 
-    def test_small_columns_skip(self):
-        col = pa.array(['py', 'go'] * 100)
-        compiled = compile_chain(f.Required)
-        compiled.apply_column(col)
-        assert compiled.dict_fast_path_hits == 0
+    def test_small_low_cardinality_columns_encode(self, monkeypatch):
+        # No row minimum: a short column takes the fast path too, with
+        # the plain path's values and errors, and keeps its input buffer.
+        col = pa.array(['py', 'go', None, 'xx'] * 50)
+        compiled = compile_chain(f.Required | f.Choice(choices={'py', 'go'}))
+        out_fast, err_fast = compiled.apply_column(col)
+        assert compiled.dict_fast_path_hits == 1
+        assert out_fast.buffers()[2].address == col.buffers()[2].address
+
+        monkeypatch.setattr(type(compiled), '_DICT_PROBE_MAX_UNIQUE', -1)
+        out_plain, err_plain = compiled.apply_column(col)
+        assert compiled.dict_fast_path_hits == 1
+        assert out_fast.to_pylist() == out_plain.to_pylist()
+        assert err_fast.codes_per_row() == err_plain.codes_per_row()
