@@ -23,6 +23,13 @@ table-level meta so replay reshuffles identically — SURVEY.md §4)::
                                       # (v: its commit_version): the events'
                                       # own input columns with their Arrow
                                       # types, plus _errors
+        dlq-<lo>-<hi>-<v>-p<a>-<b>.parquet
+                                      # a shared DLQ file: the rejections of
+                                      # partitions a..b (p = a, the owner) that
+                                      # one commit task committed together,
+                                      # plus an integer _part column; a
+                                      # partition q != p lists it in its dlq
+                                      # as part=<p>/<name>
 
 Every parquet file above is zstd without column min/max statistics,
 written to a tmp file by the lake's one writer (``_stage`` in
@@ -47,14 +54,29 @@ ingest ledger are compact JSON.
 One liveness rule: a ``*.parquet`` file in ``part=<p>/`` lives iff the
 committed manifest names it as its ``base`` or lists it in ``deltas``
 (merged on read) or ``history`` (the change feed and time travel) — a
-delta batch and its history entry are the same file — and one in
-``_dlq/part=<p>/`` lives iff the manifest lists it in ``dlq``. Readers
-open only the files the manifest names, never a directory listing, so a
-file no manifest lists is invisible and is garbage by definition. A base
-and a DLQ file carry the ``commit_version`` that wrote them in their
-names, so no commit renames over a live one.
+delta batch and its history entry are the same file — and a DLQ file
+lives iff some manifest lists it in ``dlq``. Readers open only the files
+the manifests name, never a directory listing, so a file no manifest
+lists is invisible and is garbage by definition. A base and a DLQ file
+carry the ``commit_version`` that wrote them in their names, so no
+commit renames over a live one.
 :meth:`ManifestStore.commit_partition` is the only code that adds or
-removes any partition file, DLQ files included.
+removes any partition file, DLQ files included, but for shared DLQ
+files, which the lake-level :meth:`ManifestStore.sweep_dlq` removes.
+
+A shared DLQ file (one per DLQ block of a commit task's share,
+``_upsert_groups`` in ``pipelines/cdc.py``) is a table file in Delta
+Lake's sense: many manifests may list it, and it goes only once none
+does. Its owner ``a`` stages and publishes it in its own commit, and
+every other partition with rows in it lists ``part=<a>/<name>`` in its
+own commit; a reader of partition q's DLQ takes only the file's rows
+with ``_part = q``, and only from files q lists. The covered partitions
+``a..b`` are in the name, so :meth:`~ManifestStore.sweep_dlq` can hold
+their commit locks, in ascending order, while it checks that none lists
+the file. A commit that newly lists another partition's file checks,
+under its own lock, that the file is still there, and raises
+:class:`CommitConflictError` when a sweep has removed it. A file of one
+partition's rows keeps the plain name and has no ``_part`` column.
 
 One lake schema: ``_meta.json`` records the schema every base, delta
 and history file is read under, decided once, at commit. A commit that
@@ -129,7 +151,7 @@ import os
 import re
 import uuid
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import pyarrow as pa
 
@@ -137,6 +159,7 @@ from .registry import widen_schema
 
 __all__ = [
     'PartitionManifest', 'TableMeta', 'ManifestStore', 'CommitConflictError',
+    'shared_dlq_span',
 ]
 
 
@@ -197,9 +220,10 @@ class PartitionManifest:
     # conditional commit's token — a commit publishes only if the on-disk
     # value still equals the one its writer read.
     commit_version: int = 0
-    # The partition's DLQ files in _dlq/part=<p>/ (oldest first): each
-    # ingest commit with rejections appends one; a redrive leaves only
-    # its file of still-invalid rows.
+    # The partition's DLQ files (oldest first): a name in _dlq/part=<p>/,
+    # or part=<q>/<name> for partition q's shared file that holds this
+    # partition's rows too. Each ingest commit with rejections appends
+    # one; a redrive leaves only its file of still-invalid rows.
     dlq: list = field(default_factory=list)
 
 
@@ -289,6 +313,11 @@ class ManifestStore:
         return os.path.join(self.root, '_dlq', f'part={pid}')
 
     def dlq_path(self, pid: int, name: str) -> str:
+        """The path of an entry of partition ``pid``'s ``dlq``: a file of
+        its own DLQ directory, or ``part=<q>/<name>``, partition q's
+        shared file."""
+        if name.startswith('part='):
+            return os.path.join(self.root, '_dlq', name)
         return os.path.join(self.dlq_dir(pid), name)
 
     def delta_path(self, pid: int, name: str) -> str:
@@ -346,7 +375,9 @@ class ManifestStore:
         the on-disk version still equals it, and stamps it + 1; otherwise
         it raises :class:`CommitConflictError`, removes the staged tmp
         files and leaves the partition untouched, and the writer re-reads,
-        re-merges and retries.
+        re-merges and retries. It raises the same when the manifest newly
+        lists another partition's shared DLQ file that is gone: a
+        :meth:`sweep_dlq` removed it before this commit could list it.
 
         ``remove_data`` is accepted and ignored: the manifest's ``base``
         alone says whether the partition has one, and a base it no longer
@@ -357,7 +388,11 @@ class ManifestStore:
         with self._conditional_put(pid):
             current = self.read_manifest(pid)
             found = current.commit_version if current else 0
-            if found != expected_version:
+            listed = set(current.dlq) if current else set()
+            if found != expected_version or any(
+                    not os.path.exists(self.dlq_path(pid, name))
+                    for name in manifest.dlq
+                    if name.startswith('part=') and name not in listed):
                 for tmp in staged.values():
                     with contextlib.suppress(FileNotFoundError):
                         os.remove(tmp)
@@ -377,19 +412,47 @@ class ManifestStore:
             return self._remove_unlisted(manifest) if manifest else 0
 
     def _remove_unlisted(self, manifest: PartitionManifest) -> int:
-        """The liveness rule, the lake's only removal: a ``*.parquet``
-        file in ``part=<p>/`` lives iff ``manifest`` names it as its
-        ``base``, a delta or a history entry, and one in ``_dlq/part=<p>/``
-        iff it lists it in ``dlq``. A tmp file staged against a version
-        below ``manifest``'s can never commit and goes too, as does a
-        manifest tmp file (the caller holds the commit lock, the only
-        writer of one); a tmp file staged against ``manifest``'s version
-        is in flight and stays."""
+        """The liveness rule, the lake's only removal but for shared DLQ
+        files: a ``*.parquet`` file in ``part=<p>/`` lives iff
+        ``manifest`` names it as its ``base``, a delta or a history
+        entry, and one in ``_dlq/part=<p>/`` iff it lists it in ``dlq``
+        or it is a shared file, which other partitions may list (only
+        :meth:`sweep_dlq` removes one). A tmp file staged against a
+        version below ``manifest``'s can never commit and goes too, as
+        does a manifest tmp file (the caller holds the commit lock, the
+        only writer of one); a tmp file staged against ``manifest``'s
+        version is in flight and stays."""
         pid = manifest.partition_id
         live = {manifest.base, *manifest.deltas, *manifest.history}
         return (_remove_dead(self.partition_dir(pid), live, manifest.commit_version)
                 + _remove_dead(self.dlq_dir(pid), set(manifest.dlq),
-                               manifest.commit_version))
+                               manifest.commit_version, spare=shared_dlq_span))
+
+    def sweep_dlq(self) -> int:
+        """The lake-level DLQ sweep, the only removal of a shared DLQ
+        file: remove each one no manifest lists, judged while holding
+        the commit locks of the partitions its name covers, taken in
+        ascending order (a commit holds one lock, so no two sweeps and
+        no commit deadlock). Its owner lists it by name, the others as
+        ``part=<owner>/<name>``. Returns the number removed."""
+        root = os.path.join(self.root, '_dlq')
+        removed = 0
+        for part in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+            for name in sorted(os.listdir(os.path.join(root, part))):
+                span = shared_dlq_span(name)
+                if span is None:
+                    continue
+                with contextlib.ExitStack() as locks:
+                    for pid in range(span[0], span[1] + 1):
+                        locks.enter_context(self._conditional_put(pid))
+                    if not any(name in m.dlq or f'{part}/{name}' in m.dlq
+                               for m in map(self.read_manifest,
+                                            range(span[0], span[1] + 1))
+                               if m is not None):
+                        with contextlib.suppress(FileNotFoundError):
+                            os.remove(os.path.join(root, part, name))
+                            removed += 1
+        return removed
 
     def tmp_path(self, pid: int, version: int, kind: str = 'data') -> str:
         """A unique tmp path in ``part=<p>/`` for a ``kind`` file staged
@@ -433,15 +496,26 @@ def _flock(directory: str, name: str):
 
 
 _STAGED_TMP = re.compile(r'\.parquet\.tmp-(\d+)-[0-9a-f]+$')
+_SHARED_DLQ = re.compile(r'^dlq-.+-p(\d+)-(\d+)\.parquet$')
 
 
-def _remove_dead(directory: str, keep: set, version: int) -> int:
+def shared_dlq_span(name: str) -> Optional[Tuple[int, int]]:
+    """The partitions ``(a, b)``, both included, a shared DLQ file's
+    name ``dlq-<lo>-<hi>-<v>-p<a>-<b>.parquet`` covers; None for any
+    other name, a one-partition DLQ file's included."""
+    m = _SHARED_DLQ.match(name)
+    return (int(m.group(1)), int(m.group(2))) if m else None
+
+
+def _remove_dead(directory: str, keep: set, version: int,
+                 spare: Callable[[str], object] = lambda name: False) -> int:
     """Remove every ``*.parquet`` file in ``directory`` whose name is not
-    in ``keep``, every tmp file staged against a version below
-    ``version`` and every manifest tmp file; returns the number
-    removed. A doomed attempt may remove its own tmp file meanwhile."""
+    in ``keep`` and that ``spare`` does not accept, every tmp file staged
+    against a version below ``version`` and every manifest tmp file;
+    returns the number removed. A doomed attempt may remove its own tmp
+    file meanwhile."""
     names = os.listdir(directory) if os.path.isdir(directory) else []
-    dead = [n for n in names if _is_dead(n, keep, version)]
+    dead = [n for n in names if _is_dead(n, keep, version) and not spare(n)]
     for name in dead:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(directory, name))

@@ -194,6 +194,31 @@ def test_string_lsn_log_delivered_twice_is_applied_once(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
+@pytest.mark.xfail(strict=True, reason=(
+    'a new event below the partition watermark is dropped as if it were '
+    'a duplicate delivery, so it is never applied'))
+def test_late_event_is_applied(tmp_path):
+    """A batch up to lsn 10, then a new key at lsn 5: a late event, which
+    breaks the delivery contract. The lake must still equal the replay
+    oracle of the whole log; today ``_admit`` cannot tell the late event
+    from a duplicate, counts it in ``events_skipped`` and drops it."""
+    import ray.data as rd
+
+    from filters_ray.sources.oracle import final_state_digests, replay_oracle
+
+    def event(lsn: int, path: str) -> dict:
+        return {'lsn': lsn, 'op': 'insert', 'repo': 'org/r', 'path': path,
+                'commit': 'a' * 40, 'lang': 'py', 'content': f'body {lsn}'}
+
+    log = [event(lsn, f'f{lsn}') for lsn in (0, 4, 6, 10)] + [event(5, 'late')]
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=1)
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(log[:4])))
+    pipeline.run(rd.from_arrow(pa.Table.from_pylist(log[4:])))
+    assert (final_state_digests(pipeline.final_table())
+            == replay_oracle(log).sha256_by_key())
+
+
+@pytest.mark.usefixtures('ray_session')
 @pytest.mark.parametrize('lacking', ['lsn', 'repo'])
 def test_log_lacking_a_key_column_is_dead_lettered(tmp_path, lacking):
     """A one-file log without ``lsn`` or ``repo``: the validate stage

@@ -2,7 +2,8 @@
 
 Kinds follow the committed manifests (the lake's liveness rule): a
 partition's ``base``, its active ``deltas``, ``history`` files not
-listed in ``deltas``, its ``dlq`` files, and the manifests themselves;
+listed in ``deltas``, its ``dlq`` files (a shared DLQ file, which
+several partitions list, counted once), and the manifests themselves;
 then ``_meta.json``, the tail ledger, and any other non-dot file
 (``unlisted``: debris no manifest names). Per column, the compressed
 and uncompressed sizes of every column chunk, summed per top-level
