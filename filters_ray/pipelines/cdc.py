@@ -1556,7 +1556,9 @@ class CDCPipeline:
         recursive, sorted, names starting with ``.`` or ``_`` skipped, and
         a ``key=value`` subdirectory adds no column. Files always read
         under the schema widened across them, so a column a later file
-        adds lands, null on the earlier files' rows.
+        adds lands, null on the earlier files' rows. No file (an empty
+        list or directory) is an empty log: like a log of no rows, it
+        commits nothing.
 
         Two shapes run the same validate and upsert functions, chosen by
         :func:`_one_batch_source`: an input of at most ``batch_size`` rows
@@ -1572,8 +1574,9 @@ class CDCPipeline:
                                 retain_history=self.retain_history)
         if isinstance(events, str):
             events = _parquet_files(events) if os.path.isdir(events) else [events]
-            if not events:
-                raise ValueError('no *.parquet file in the input directory')
+        if isinstance(events, list) and not events:
+            self.last_stats = _task_stats([])
+            return self._report([])
         source = _one_batch_source(events, self.batch_size)
         if source is not None:
             import ray

@@ -44,7 +44,6 @@ __all__ = [
     'RowRule',
     'ValidateStage',
     'dlq_rows',
-    'errors_type',
     'is_payload',
     'split_clean_dlq',
 ]
@@ -58,8 +57,8 @@ ORIGINAL_PREFIX = '_original.'
 RowRule = Callable[[pa.Table], List[Tuple[np.ndarray, str, str]]]
 
 
-def errors_type() -> pa.DataType:
-    return pa.list_(pa.struct([('key', pa.string()), ('code', pa.string())]))
+#: One entry of the ``_errors`` list: the failing key and its code.
+ERROR_ENTRY = pa.struct([('key', pa.string()), ('code', pa.string())])
 
 
 class RecordValidator:
@@ -175,7 +174,7 @@ def _build_errors_column(
     if not entries:
         empty = pa.ListArray.from_arrays(
             pa.array(np.zeros(n + 1, dtype=np.int32)),
-            pa.array([], type=pa.struct([('key', pa.string()), ('code', pa.string())])),
+            pa.array([], type=ERROR_ENTRY),
         )
         return empty, np.zeros(n, dtype=bool)
 
@@ -192,7 +191,7 @@ def _build_errors_column(
 
     structs = pa.StructArray.from_arrays(
         [pa.array(keys, type=pa.string()), pa.array(codes, type=pa.string())],
-        names=['key', 'code'],
+        fields=list(ERROR_ENTRY),
     )
     col = pa.ListArray.from_arrays(pa.array(offsets), structs)
     return col, counts > 0

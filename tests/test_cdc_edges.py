@@ -45,6 +45,34 @@ def test_empty_log_is_a_noop(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
+def test_no_input_file_is_an_empty_log(tmp_path):
+    """An empty file list and a directory without parquet files are the
+    empty log: no commit, a zero report, on a new lake and on a lake
+    with commits."""
+    import pyarrow.parquet as pq
+
+    empty_dir = tmp_path / 'no-files'
+    empty_dir.mkdir()
+    (empty_dir / '_SUCCESS').write_text('')
+    pipeline = CDCPipeline(str(tmp_path / 'lake'), num_partitions=4)
+    for events in ([], str(empty_dir)):
+        report = pipeline.run(events)
+        assert (report.events_seen, report.lake_rows) == (0, 0), events
+        assert pipeline.store.all_manifests() == {}, events
+
+    path = str(tmp_path / 'events.parquet')
+    pq.write_table(make_events(SynthConfig(n_keys=20, n_events=100, seed=3)), path)
+    pipeline.run(path)
+    before = pipeline.store.all_manifests()
+    rows = pipeline.final_table().num_rows
+    for events in ([], str(empty_dir)):
+        report = pipeline.run(events)
+        assert (report.events_seen, report.events_applied) == (0, 0), events
+        assert report.lake_rows == rows, events
+        assert pipeline.store.all_manifests() == before, events
+
+
+@pytest.mark.usefixtures('ray_session')
 def test_all_invalid_log_goes_entirely_to_dlq(tmp_path):
     import ray.data as rd
 

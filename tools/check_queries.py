@@ -5,14 +5,18 @@ Runs every ``queries()`` entry at the given sf and, where an
 frame against DuckDB. Usage::
 
     python tools/check_queries.py [sf_dir] [name ...]
+
+from any directory: the repository is this file's parent directory.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, '.')
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_pandas(result):
@@ -116,8 +120,10 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else '/root/testdata/sf0.01'
     only = set(sys.argv[2:]) or None
 
+    # Ray's workers import the engine too, from the same directory.
     ray.init(address='local', num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level='ERROR')
+             ignore_reinit_error=True, logging_level='ERROR',
+             runtime_env={'env_vars': {'PYTHONPATH': ROOT}})
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
