@@ -519,6 +519,8 @@ if __name__ == '__main__':
     args = ap.parse_args()
     if (args.runs != 1 or args.record) and not args.scaling:
         ap.error('--runs and --record go with --scaling')
+    if args.runs < 1:
+        ap.error('--runs must be at least 1')
     if args.scaling:
         main_scaling(args.runs, args.record)
     elif args.summarize:

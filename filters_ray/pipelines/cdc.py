@@ -1575,7 +1575,7 @@ class CDCPipeline:
         if isinstance(events, str):
             events = _parquet_files(events) if os.path.isdir(events) else [events]
         if isinstance(events, list) and not events:
-            self.last_stats = _task_stats([])
+            self.last_stats = ''
             return self._report([])
         source = _one_batch_source(events, self.batch_size)
         if source is not None:

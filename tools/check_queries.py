@@ -121,9 +121,10 @@ def main() -> int:
     only = set(sys.argv[2:]) or None
 
     # Ray's workers import the engine too, from the same directory.
+    os.environ['PYTHONPATH'] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get('PYTHONPATH')) if p)
     ray.init(address='local', num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level='ERROR',
-             runtime_env={'env_vars': {'PYTHONPATH': ROOT}})
+             ignore_reinit_error=True, logging_level='ERROR')
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
