@@ -18,7 +18,8 @@ Usage::
     python bench.py --soak           # micro-batch replay soak
 
 Env: ``GRAFT_SF_DIR`` (default /root/testdata/sf0.1), ``RAY_GRAFT_CPUS``
-(default 32), ``GRAFT_BENCH_EVENTS`` (default 1_000_000 at sf0.1, 48M for
+(default: the CPUs this process may run on, ``os.sched_getaffinity``),
+``GRAFT_BENCH_EVENTS`` (default 1_000_000 at sf0.1, 48M for
 ``--scaling``, 64M for ``--soak``), ``GRAFT_BENCH_PASSES`` (default 3),
 ``GRAFT_QUERY_PASSES`` (default 1), ``GRAFT_SCALE_LO``/``GRAFT_SCALE_HI``
 (default 8 and 4 × LO).
@@ -47,7 +48,7 @@ from typing import List, Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SF_DIR = os.environ.get('GRAFT_SF_DIR', '/root/testdata/sf0.1')
-NUM_CPUS = int(os.environ.get('RAY_GRAFT_CPUS', '32'))
+NUM_CPUS = int(os.environ.get('RAY_GRAFT_CPUS', len(os.sched_getaffinity(0))))
 
 _EVENTS_BY_SF = {
     'sf0.001': 20_000,

@@ -8,7 +8,7 @@ Layers:
 * :mod:`filters_ray.vector` — vectorized Arrow column kernels + the chain
   compiler used inside ``map_batches``.
 * :mod:`filters_ray.stages` — Ray Data batch stages (validation / DLQ
-  split, actor-pool stages).
+  split, joins, sketches), run as Ray tasks.
 * :mod:`filters_ray.pipelines` — end-to-end pipelines: CDC upsert, dedup,
   similarity search, text analysis, relational queries.
 * :mod:`filters_ray.state` — manifests, high-watermarks, schema registry.

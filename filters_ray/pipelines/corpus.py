@@ -16,7 +16,7 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _default_pool_size, exact_dedup, minhash_dedup
+from .dedup import exact_dedup, minhash_dedup
 from .text import PiiRedactStage, add_quality_score, add_token_count
 
 __all__ = ['prepare_corpus']
@@ -68,12 +68,11 @@ def prepare_corpus(
     if collect_stats:
         stats['after_gates'] = ds.count()
 
-    # 3. PII scrub (actor pool, vectorized RE2 — redaction BEFORE dedup
-    #    so redacted twins of differently-PII'd texts deduplicate).
+    # 3. PII scrub (vectorized RE2 — redaction BEFORE dedup so redacted
+    #    twins of differently-PII'd texts deduplicate).
     if scrub_pii:
         ds = ds.map_batches(
-            PiiRedactStage, fn_constructor_kwargs={'column': text_column},
-            batch_format='pyarrow', concurrency=_default_pool_size(),
+            PiiRedactStage(column=text_column), batch_format='pyarrow',
         ).map_batches(
             lambda b: b.drop_columns(
                 [c for c in b.column_names if c.startswith('n_')

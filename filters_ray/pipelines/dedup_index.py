@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import MinHashStage, _default_pool_size, _dedup_pairs
+from .dedup import MinHashStage, _dedup_pairs
 
 __all__ = ['MinHashIndex']
 
@@ -68,19 +68,14 @@ class MinHashIndex:
 
     # -- internals --------------------------------------------------------
 
-    def _stage_kwargs(self) -> dict:
-        p = self.params
-        return {
-            'column': p['column'], 'key': p['key'],
-            'num_perm': p['num_perm'], 'bands': p['bands'],
-            'shingle_k': p['shingle_k'], 'seed': p['seed'],
-            'sub_buckets': p['num_buckets'],
-        }
-
     def _signature_rows(self, ds):
+        p = self.params
         return ds.map_batches(
-            MinHashStage, fn_constructor_kwargs=self._stage_kwargs(),
-            batch_format='pyarrow', concurrency=_default_pool_size(),
+            MinHashStage(column=p['column'], key=p['key'],
+                         num_perm=p['num_perm'], bands=p['bands'],
+                         shingle_k=p['shingle_k'], seed=p['seed'],
+                         sub_buckets=p['num_buckets']),
+            batch_format='pyarrow',
         )
 
     def bucket_dir(self, band: int, bucket: int) -> str:

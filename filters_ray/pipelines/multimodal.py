@@ -2,9 +2,9 @@
 
 Images/audio/video travel as ``binary`` columns with metadata columns
 (``media_type``, dims/duration). Decode / feature-extract / resize /
-frame-sample are actor-pool `map_batches` stages: library handles load in
-``__init__`` (once per actor), small ``batch_size`` because payload rows
-are wide (the memory-aware rule: batch_bytes × concurrency must fit the
+frame-sample are callable `map_batches` stages, passed as instances that
+Ray Data runs as tasks; small ``batch_size`` because payload rows are
+wide (the memory-aware rule: batch_bytes × concurrent tasks must fit the
 worker heap).
 
 Decode support in this container (no PIL/ffmpeg):
@@ -15,7 +15,7 @@ Decode support in this container (no PIL/ffmpeg):
 * **STUBBED**: compressed formats (JPEG/PNG/MP3/...) and video frames.
   With ``strict=True`` those raise ``NotImplementedError``; the default
   deterministic-fake mode derives stable pseudo-features from the
-  payload hash so the Ray-side plumbing — schema, batch sizing, actor
+  payload hash so the Ray-side plumbing — schema, batch sizing, stage
   signature, output layout — stays real and tested end-to-end.
 """
 
@@ -84,7 +84,8 @@ class DecodeImageStage:
     def __init__(self, target_size: int = 224, strict: bool = False) -> None:
         self.target_size = target_size
         self.strict = strict
-        self._pil = _try_import('PIL.Image')
+        # A flag, not the module: an instance is pickled into each task.
+        self._pil = _try_import('PIL.Image') is not None
 
     def _decode(self, payload: bytes):
         kind = sniff_format(payload)
@@ -99,7 +100,7 @@ class DecodeImageStage:
                     raise
                 return self.target_size, self.target_size, \
                     _stable_floats(payload, self.FEATURE_DIM)
-        if self._pil is not None:
+        if self._pil:
             import io
 
             from PIL import Image

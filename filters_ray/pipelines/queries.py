@@ -12,6 +12,8 @@ summation order cannot flip the value hash.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -843,40 +845,35 @@ FROM events GROUP BY event_type
 """
 
 
+@functools.lru_cache(maxsize=None)
+def _json_chain():
+    """Compiled once per worker process: compiled chains hold weakrefs
+    and cannot be pickled (SURVEY.md §3.4)."""
+    import filters_ray as f
+    from ..vector import compile_chain
+
+    return compile_chain(f.JsonDecode)
+
+
+def _decode_props(batch: pa.Table) -> pa.Table:
+    decoded, _ = _json_chain().apply_column(batch.column('props'))
+    ks = pa.array(
+        [None if d is None else d.get('k') for d in decoded.to_pylist()],
+        type=pa.int64(),
+    )
+    return pa.table({'event_type': batch.column('event_type'), 'k': ks})
+
+
 def events_json_props(sf_dir: str):
     """JsonDecode chain over the props column → sum of k per event type.
 
     Exercises the scalar-fallback kernel (JsonDecode has no Arrow
     vectorization) inside a batch stage."""
-    import filters_ray as f
-    from ..vector import compile_chain
-
-    ds = _read(sf_dir, 'events', columns=['event_type', 'props'])
-
-    class DecodeProps:
-        def __init__(self):
-            self.chain = compile_chain(f.JsonDecode)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            decoded, _ = self.chain.apply_column(batch.column('props'))
-            ks = pa.array(
-                [None if d is None else d.get('k') for d in decoded.to_pylist()],
-                type=pa.int64(),
-            )
-            return pa.table({
-                'event_type': batch.column('event_type'),
-                'k': ks,
-            })
-
     from ray.data.aggregate import Sum
 
-    from .dedup import _default_pool_size
-
+    ds = _read(sf_dir, 'events', columns=['event_type', 'props'])
     return (
-        ds.map_batches(
-            DecodeProps, batch_format='pyarrow',
-            concurrency=_default_pool_size(),
-        )
+        ds.map_batches(_decode_props, batch_format='pyarrow')
         .groupby('event_type')
         .aggregate(Sum('k', alias_name='sum_k'))
     )
@@ -1410,52 +1407,52 @@ GROUP BY n.n_name
 DOC_LANGS = {'en', 'de', 'fr', 'es', 'zh'}
 
 
+@functools.lru_cache(maxsize=None)
+def _docs_validator():
+    """Compiled once per worker process, as :func:`_json_chain` is."""
+    import filters_ray as f
+    from ..stages.validate import RecordValidator
+
+    return RecordValidator(
+        filter_map={
+            'doc_id': f.Required | f.Int | f.Min(0),
+            'text': f.Required | f.NotEmpty | f.MaxLength(500),
+            'lang': f.Required | f.Choice(choices=DOC_LANGS),
+            'n_chars': f.Required | f.Int | f.Min(0) | f.Max(300),
+        },
+        allow_missing_keys=False,
+        allow_extra_keys=False,
+    )
+
+
+def _reject_code_counts(batch: pa.Table) -> pa.Table:
+    # Vectorized per-batch partial counts: flatten the error-entry list
+    # column once, value_counts the code child (VERDICT r2 #7 — no
+    # per-row Python walk).
+    from ..stages.validate import ERRORS_COLUMN
+
+    out = _docs_validator().validate_table(batch)
+    entries = out.column(ERRORS_COLUMN)
+    if isinstance(entries, pa.ChunkedArray):
+        entries = entries.combine_chunks()
+    flat = pc.list_flatten(entries)
+    codes = flat.field('code') if len(flat) else pa.array([], type=pa.string())
+    vc = pc.value_counts(codes)
+    order = pc.sort_indices(vc.field('values'))
+    return pa.table({
+        'code': vc.field('values').take(order).cast(pa.string()),
+        'n': vc.field('counts').take(order).cast(pa.int64()),
+    })
+
+
 def docs_reject_counts(sf_dir: str):
     """FilterChain validation over documents; rejection counts per code —
     the FilterRunner.error_codes surface as a distributed aggregate."""
-    import filters_ray as f
-    from ..stages.validate import ERRORS_COLUMN, RecordValidator
-
-    ds = _read(sf_dir, 'documents', columns=['doc_id', 'text', 'lang', 'n_chars'])
-
-    class Validate:
-        def __init__(self):
-            self.validator = RecordValidator(
-                filter_map={
-                    'doc_id': f.Required | f.Int | f.Min(0),
-                    'text': f.Required | f.NotEmpty | f.MaxLength(500),
-                    'lang': f.Required | f.Choice(choices=DOC_LANGS),
-                    'n_chars': f.Required | f.Int | f.Min(0) | f.Max(300),
-                },
-                allow_missing_keys=False,
-                allow_extra_keys=False,
-            )
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # Vectorized per-batch partial counts: flatten the error-entry
-            # list column once, value_counts the code child (VERDICT r2
-            # #7 — no per-row Python walk).
-            out = self.validator.validate_table(batch)
-            entries = out.column(ERRORS_COLUMN)
-            if isinstance(entries, pa.ChunkedArray):
-                entries = entries.combine_chunks()
-            flat = pc.list_flatten(entries)
-            codes = flat.field('code') if len(flat) else pa.array([], type=pa.string())
-            vc = pc.value_counts(codes)
-            order = pc.sort_indices(vc.field('values'))
-            return pa.table({
-                'code': vc.field('values').take(order).cast(pa.string()),
-                'n': vc.field('counts').take(order).cast(pa.int64()),
-            })
-
     from ray.data.aggregate import Sum
 
-    from .dedup import _default_pool_size
-
+    ds = _read(sf_dir, 'documents', columns=['doc_id', 'text', 'lang', 'n_chars'])
     return (
-        ds.map_batches(
-            Validate, batch_format='pyarrow', concurrency=_default_pool_size(),
-        )
+        ds.map_batches(_reject_code_counts, batch_format='pyarrow')
         .groupby('code')
         .aggregate(Sum('n', alias_name='n'))
     )
@@ -1684,16 +1681,11 @@ FROM embeddings GROUP BY label
 
 
 def docs_lang_id(sf_dir: str):
-    """Heuristic language ID (actor-pool stage)."""
+    """Heuristic language ID (a stage run as Ray tasks)."""
     from .text import LangIdStage
 
-    from .dedup import _default_pool_size
-
     ds = _read(sf_dir, 'documents', columns=['doc_id', 'text'])
-    out = ds.map_batches(
-        LangIdStage, fn_constructor_kwargs={'column': 'text'},
-        batch_format='pyarrow', concurrency=_default_pool_size(),
-    )
+    out = ds.map_batches(LangIdStage(column='text'), batch_format='pyarrow')
     return out.select_columns(['doc_id', 'lang_pred', 'lang_conf'])
 
 
@@ -1806,19 +1798,15 @@ def _plant_pii(batch: pa.Table) -> pa.Table:
 def docs_pii_scrub(sf_dir: str):
     """PII redaction over the documents corpus (emails / IPv4s / phone
     numbers / SSN-shaped ids → typed tokens), the standard pre-training
-    scrub pass. Actor-pool stage, fully vectorized RE2; counts are taken
-    against the original text, redactions applied in fixed pattern
-    order."""
-    from .dedup import _default_pool_size
+    scrub pass. A stage run as Ray tasks, fully vectorized RE2; counts
+    are taken against the original text, redactions applied in fixed
+    pattern order."""
     from .text import PiiRedactStage
 
     ds = _read(sf_dir, 'documents', columns=['doc_id', 'text'])
     ds = ds.map_batches(_plant_pii, batch_format='pyarrow')
-    ds = ds.map_batches(
-        PiiRedactStage,
-        fn_constructor_kwargs={'column': 'text', 'out_column': 'scrubbed'},
-        batch_format='pyarrow', concurrency=_default_pool_size(),
-    )
+    ds = ds.map_batches(PiiRedactStage(column='text', out_column='scrubbed'),
+                        batch_format='pyarrow')
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2525,14 +2513,9 @@ def multimodal_decode_demo(sf_dir: str):
         'media_type': pa.array(['image'] * n),
         'payload': pa.array(payloads, type=pa.large_binary()),
     })
-    from .dedup import _default_pool_size
-
     ds = rd.from_arrow(table)
-    out = ds.map_batches(
-        DecodeImageStage, fn_constructor_kwargs={'strict': True},
-        batch_format='pyarrow', batch_size=16,
-        concurrency=_default_pool_size(),
-    )
+    out = ds.map_batches(DecodeImageStage(strict=True),
+                         batch_format='pyarrow', batch_size=16)
     # Dims are parsed from the actual BMP headers — MULTIMODAL_SQL
     # recomputes the expected values analytically, so the real decode
     # path is oracle-verified (features stay pytest-verified: floats
@@ -2846,7 +2829,7 @@ def revenue_by_nation_asia(sf_dir: str):
         # Bloom semi-join pushdown: the date+region filter keeps ~28% of
         # orders, so ~72% of the (bigger) lineitem side would enter the
         # exchange only to find no partner. Build a ~0.5%-FPR bloom over
-        # the surviving orderkeys (shipped once per probe actor) and
+        # the surviving orderkeys (fetched once per worker process) and
         # drop those rows BEFORE the all-to-all.
         bloom = build_bloom(orders, 'o_orderkey')
         items = bloom_semi_filter(items, 'l_orderkey', bloom)

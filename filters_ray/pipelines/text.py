@@ -1,8 +1,9 @@
 """Text-analysis stages for large-scale training-data pipelines.
 
 All stages are vectorized `map_batches` transforms over Arrow string
-columns (`batch_format="pyarrow"`, zero-copy); the language-ID stage is a
-callable class (actor pool) holding its compiled pattern set.
+columns (`batch_format="pyarrow"`, zero-copy); the language-ID and PII
+stages are callable instances holding their pattern sets, which Ray Data
+runs as tasks.
 
 Ops: token counting, quality scoring, language ID (n-gram/stopword
 heuristic), document fingerprinting (normalized content hash — the
@@ -131,11 +132,11 @@ PII_PATTERNS: Dict[str, tuple] = {
 
 
 class PiiRedactStage:
-    """Actor-pool PII scrub for training corpora: redact emails / IPv4s /
-    phone numbers / SSN-shaped ids from a text column, emitting the
-    scrubbed text plus per-category hit counts.
+    """PII scrub for training corpora: redact emails / IPv4s / phone
+    numbers / SSN-shaped ids from a text column, emitting the scrubbed
+    text plus per-category hit counts.
 
-    ``__init__`` fixes the pattern set once per actor; ``__call__`` is
+    ``__init__`` fixes the pattern set; ``__call__`` is
     pure vectorized RE2 (`count_substring_regex` for the counts,
     `replace_substring_regex` for the redaction) — no Python row loop.
     """
@@ -170,7 +171,7 @@ class PiiRedactStage:
 
 
 # Stopword profiles for the n-gram/stopword language-ID heuristic. Small
-# on purpose: the point is the actor-pool pattern (compile once per actor,
+# on purpose: the point is the stage pattern (build the patterns once,
 # vectorized RE2 counting per batch), not SOTA accuracy. Order matters:
 # ties resolve to the FIRST language (np.argmax semantics), mirrored in
 # the query surface's SQL oracle.
@@ -197,11 +198,10 @@ def lang_pattern(words: List[str]) -> str:
 
 
 class LangIdStage:
-    """Actor-pool language ID: per-language stopword-hit counting.
+    """Language ID: per-language stopword-hit counting.
 
-    ``__init__`` compiles one alternation pattern per language (once per
-    actor); ``__call__`` is pure vectorized counting. Emits ``lang_pred``
-    and ``lang_conf``.
+    ``__init__`` builds one alternation pattern per language; ``__call__``
+    is pure vectorized counting. Emits ``lang_pred`` and ``lang_conf``.
     """
 
     def __init__(self, column: str = 'text',

@@ -3,17 +3,17 @@
 The scale problem this solves: a big-big inner join pays for every probe
 row shipped through the all-to-all exchange, including rows that will
 never match. A Bloom filter built from the (smaller) build side is a few
-hundred KiB regardless of probe size — ship it ONCE per probe actor via
-the object store and drop non-matching rows *before* they enter the
-shuffle. No false negatives (the filtered probe is a superset of the
-true semi-join, so a following exact join returns identical results);
-false positives only cost the bytes they fail to save.
+hundred KiB regardless of probe size — ship it once via the object store
+and drop non-matching rows *before* they enter the shuffle. No false
+negatives (the filtered probe is a superset of the true semi-join, so a
+following exact join returns identical results); false positives only
+cost the bytes they fail to save.
 
 Build is a per-block partial (`map_batches` → one packed-bitmap row per
 block) folded with streamed OR on the driver: driver traffic is
-`num_blocks × num_bits/8` bytes, independent of row count. Probe is an
-actor-pool `map_batches` stage that fetches the bitmap once per actor
-(plasma get, zero-copy) in ``__init__``.
+`num_blocks × num_bits/8` bytes, independent of row count. Probe is a
+`map_batches` stage run as Ray tasks; each worker process fetches the
+bitmap once (plasma get, zero-copy) and caches its filter.
 
 Hashing is the engine's key hash (`stages/keyhash.hash_keys`, pandas'
 SipHash with fixed keys) — stable across processes and nodes — with
@@ -25,6 +25,7 @@ whose hash ignores the key, it is `h1` remixed by splitmix64.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -177,10 +178,9 @@ def build_bloom(ds, column: str, expected_keys: Optional[int] = None,
 
 
 class BloomProbeStage:
-    """Actor-pool probe: fetch the bitmap once per actor (``__init__``),
-    then per batch keep rows whose key MAY be in the build side. Rows
-    with null keys are dropped (they can never match an inner/semi
-    join)."""
+    """Probe: fetch the bitmap once (``__init__``), then per batch keep
+    rows whose key MAY be in the build side. Rows with null keys are
+    dropped (they can never match an inner/semi join)."""
 
     def __init__(self, column: str, words_ref, num_bits: int,
                  num_hashes: int) -> None:
@@ -206,19 +206,23 @@ class BloomProbeStage:
         return batch.filter(pa.array(mask))
 
 
-def bloom_semi_filter(ds, column: str, bloom: BloomFilter,
-                      concurrency=(1, 8)):
+# One probe per worker process and stage key. A key holds the bitmap's
+# ObjectRef, and a cached probe pins that object in the worker, so only
+# the last few stay cached.
+_probe_stage = functools.lru_cache(maxsize=4)(BloomProbeStage)
+
+
+def _bloom_probe(key: tuple, batch: pa.Table) -> pa.Table:
+    """Probe ``batch`` with the :class:`BloomProbeStage` of ``key``."""
+    return _probe_stage(*key)(batch)
+
+
+def bloom_semi_filter(ds, column: str, bloom: BloomFilter):
     """Pre-filter ``ds`` to rows whose ``column`` MAY appear in ``bloom``
     — the semi-join pushdown. Superset guarantee: follow with an exact
     join (or `hash_bucket_join(..., how='semi')`) for exact results."""
     import ray
 
-    words_ref = ray.put(bloom.words)
-    return ds.map_batches(
-        BloomProbeStage,
-        fn_constructor_kwargs={
-            'column': column, 'words_ref': words_ref,
-            'num_bits': bloom.num_bits, 'num_hashes': bloom.num_hashes,
-        },
-        batch_format='pyarrow', concurrency=concurrency,
-    )
+    key = (column, ray.put(bloom.words), bloom.num_bits, bloom.num_hashes)
+    return ds.map_batches(functools.partial(_bloom_probe, key),
+                          batch_format='pyarrow')

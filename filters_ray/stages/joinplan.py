@@ -5,8 +5,9 @@ the chooser:
 
 * **broadcast_join** — the right side fits comfortably in a worker heap:
   ship it ONCE via ``ray.put`` (plasma, zero-copy per node), build the
-  hash table once per actor in ``__init__``, and stream left batches
-  through a map-side merge. ZERO shuffles — the left side never moves.
+  merge state once per worker process, and stream left batches through
+  a map-side merge as Ray tasks. ZERO shuffles — the left side never
+  moves.
 * **hash_bucket_join** (stages/cogroup.py) — both sides big: one
   all-to-all bucketed exchange.
 * **auto_join** — picks by the right side's (estimated) byte size:
@@ -21,6 +22,7 @@ under 'inner'/'semi'.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -100,13 +102,24 @@ class _BroadcastJoinStage:
         return pa.table(arrays).replace_schema_metadata(None)
 
 
+# One join stage per worker process and stage key. A key holds the right
+# table's ObjectRef, and a cached stage pins that object in the worker,
+# so only the last few stay cached.
+_join_stage = functools.lru_cache(maxsize=4)(_BroadcastJoinStage)
+
+
+def _broadcast_merge(key: tuple, batch: pa.Table) -> pa.Table:
+    """Join ``batch`` with the :class:`_BroadcastJoinStage` of ``key``."""
+    return _join_stage(*key)(batch)
+
+
 def broadcast_join(left, right_table: pa.Table, left_on: str,
-                   right_on: str, how: str = 'inner',
-                   concurrency=(1, 8)):
+                   right_on: str, how: str = 'inner'):
     """Map-side hash join of a Dataset against an in-memory right table.
 
-    ``right_table`` is shipped once (``ray.put``); each actor builds its
-    merge state once. 'semi'/'anti' return left columns only."""
+    ``right_table`` is shipped once (``ray.put``); each worker process
+    builds its merge state once. 'semi'/'anti' return left columns
+    only."""
     import ray
 
     if how not in _BROADCAST_MODES:
@@ -117,15 +130,9 @@ def broadcast_join(left, right_table: pa.Table, left_on: str,
     if how in ('inner', 'left') and overlap - {right_on}:
         raise ValueError(
             f'column names collide across join sides: {overlap - {right_on}}')
-    ref = ray.put(right_table)
-    return left.map_batches(
-        _BroadcastJoinStage,
-        fn_constructor_kwargs={
-            'table_ref': ref, 'left_on': left_on,
-            'right_on': right_on, 'how': how,
-        },
-        batch_format='pyarrow', concurrency=concurrency,
-    )
+    key = (ray.put(right_table), left_on, right_on, how)
+    return left.map_batches(functools.partial(_broadcast_merge, key),
+                            batch_format='pyarrow')
 
 
 def _estimated_bytes(ds) -> Optional[int]:

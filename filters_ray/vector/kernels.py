@@ -20,8 +20,8 @@ Routing contract, so that only the routed rows ever leave Arrow:
   :meth:`~filters_ray.vector.compiler.ColumnErrors.add` drops the empty.
 * A row a kernel cannot judge goes to the scalar filter through
   :func:`_scalar_rows`. An answer that does not cast to the kernel's
-  output type raises, and the chain then runs that batch on the scalar
-  filter.
+  output type raises, as do answers stringified for a non-string
+  output, and the chain then runs that batch on the scalar filter.
 * A row a kernel patches in Python goes through :func:`_python_rows`.
 
 Filters without a vector implementation fall back to
@@ -123,11 +123,18 @@ def _scalar_rows(arr: pa.Array, out: pa.Array, rest: np.ndarray,
     """``out`` with its ``rest`` rows replaced by the scalar filter's
     answers for those rows of ``arr``; the filter's error masks, lifted to
     the whole column, are appended to ``errors``. Raises when an answer
-    does not cast to ``out``'s type."""
+    does not cast to ``out``'s type, and when the answers came back
+    stringified (they share no Arrow type) for a non-string ``out``: a
+    string cast may round them (Arrow's string→decimal cast turns
+    ``'1E-69'`` into ``0E-8`` without raising)."""
     if not rest.any():
         return out
     res = scalar_fb(arr.filter(pa.array(rest)))
-    values = res.values.cast(out.type)
+    t = out.type
+    if pa.types.is_string(res.values.type) and not (
+            pa.types.is_string(t) or pa.types.is_large_string(t)):
+        raise TypeError(f'scalar answers stringified for a {t} column')
+    values = res.values.cast(t)
     rows = np.flatnonzero(rest)
     for mask, code, subkey in res.errors:
         full = np.zeros(len(arr), dtype=bool)
@@ -988,8 +995,9 @@ def _kernel_decimal(filt) -> Optional[Callable[[pa.Array], KernelResult]]:
             dec = safe.cast(pa.decimal128(38, max_frac))
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
             return scalar_fb(arr)
-        # A routed row needing a wider scale than the plain rows raises
-        # in _scalar_rows: the chain then runs the batch scalar.
+        # A routed row needing a wider scale than the plain rows, or
+        # routed answers with no common decimal type, raise in
+        # _scalar_rows: the chain then runs the batch scalar.
         errors: List[ErrorEntry] = []
         return KernelResult(_scalar_rows(arr, dec, rest, scalar_fb, errors), errors)
 

@@ -14,6 +14,9 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(REPO, 'bench.py')
+sys.path.insert(0, REPO)
+
+import bench  # noqa: E402
 
 # The keys the headline line carried before the per-role stage seconds.
 HEADLINE_KEYS = {
@@ -51,6 +54,11 @@ def test_headline_line_keeps_its_keys_and_adds_stage_seconds():
     assert set(line['stage_s']) == STAGE_KEYS
     assert line['stage_s']['validate.wall_s'] > 0
     assert line['stage_s']['upsert.wall_s'] > 0
+
+
+def test_plain_main_runs_the_query_suite_on_one_cpu():
+    line = _json_lines(_run(['-c', 'import bench; bench.main()'], REPO))[-1]
+    assert set(line['queries']) == set(bench.QUERY_SUBSET)
 
 
 def test_scaling_records_from_another_directory(tmp_path):

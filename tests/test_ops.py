@@ -150,7 +150,7 @@ def test_minhash_dedup_ray():
 
     survivors, clusters = minhash_dedup(
         rd.from_arrow(docs_table()), num_perm=64, bands=16,
-        shingle_k=4, threshold=0.6, concurrency=2,
+        shingle_k=4, threshold=0.6,
     )
     ids = set(survivors.to_pandas()['doc_id'])
     # Cluster {0, 1, 4} keeps only doc 0.
@@ -285,11 +285,11 @@ def test_minhash_dedup_distributed_cc_path():
 
     drv = minhash_dedup(
         rd.from_arrow(docs_table()), num_perm=64, bands=16,
-        shingle_k=4, threshold=0.6, concurrency=2,
+        shingle_k=4, threshold=0.6,
     )[1]
     dist = minhash_dedup(
         rd.from_arrow(docs_table()), num_perm=64, bands=16,
-        shingle_k=4, threshold=0.6, concurrency=2,
+        shingle_k=4, threshold=0.6,
         cc_driver_threshold=0,
     )[1]
     assert drv == dist

@@ -4,6 +4,7 @@ must never raise, regardless of oracle coverage."""
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 
 import pandas as pd
@@ -35,6 +36,43 @@ def test_query_executes(name):
     else:
         n = result.count()
     assert n >= 0
+
+
+# The entries with a stage that holds state or config. Run as an actor
+# pool, such a stage holds the only CPU of a one-CPU session that its
+# downstream stage needs, and the entry hangs; run as tasks, it finishes.
+FORMER_POOL_ENTRIES = [
+    'events_json_props', 'docs_reject_counts', 'docs_lang_id',
+    'docs_pii_scrub', 'multimodal_decode_demo', 'region_nation_matrix',
+    'revenue_by_nation_asia', 'docs_minhash_pairs', 'docs_simhash_pairs',
+    'docs_incremental_neardup', 'corpus_prep_demo',
+]
+
+ONE_CPU_RUN = '''
+import sys
+import ray
+ray.init(address='local', num_cpus=1, include_dashboard=False, logging_level='ERROR')
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from filters_ray.pipelines.queries import QUERIES
+for name in sys.argv[2:]:
+    result = QUERIES[name][0](sys.argv[1])
+    rows = result.count() if hasattr(result, 'materialize') else len(result)
+    print(name, rows, flush=True)
+ray.shutdown()
+'''
+
+
+def test_former_pool_entries_finish_in_a_one_cpu_session():
+    env = dict(os.environ, RAY_ADDRESS='', PYTHONPATH=os.pathsep.join(
+        p for p in (REPO, os.environ.get('PYTHONPATH')) if p))
+    done = subprocess.run(
+        [sys.executable, '-c', ONE_CPU_RUN, SF_DIR, *FORMER_POOL_ENTRIES],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+    printed = [line.split() for line in done.stdout.splitlines()]
+    finished = [w[0] for w in printed if w and w[0] in FORMER_POOL_ENTRIES]
+    assert finished == FORMER_POOL_ENTRIES
 
 
 @pytest.mark.usefixtures('ray_session')
