@@ -193,7 +193,7 @@ def run_headline(num_cpus: int) -> dict:
         'events': n_events,
         'events_per_sec': round(n_events / elapsed, 1),
         'events_applied': report.events_applied,
-        'rejected': sum(report.rejected_by_code.values()),
+        'rejected': report.events_rejected,
         'lake_rows': report.lake_rows,
         # The last pass's remote wall and CPU seconds per stage role.
         'stage_s': {k: round(v, 3) for k, v in parse_stats(stats).items()},

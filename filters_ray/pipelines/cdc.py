@@ -14,19 +14,22 @@ size is unknown before it runs, takes the Ray Data plan:
 
 A micro-batch (parquet files or a materialized dataset of at most
 ``batch_size`` rows, counted without executing anything; see
-:func:`_one_batch_source`) commits in one Ray task instead, with the same
-validate and upsert functions and none of the plan's fixed cost:
+:func:`_one_batch_source`) commits in the calling process instead, with
+the same validate and upsert functions and none of the plan's fixed
+cost (:func:`_commit_batch`):
 
-    one commit task: read (widened schema) → ValidateStage
-                   → stable argsort by _part            # the exchange
-                   → upsert_partition over batch.take(order[lo:hi]),
-                     one contiguous share of partitions per CPU
+    the caller: read (widened schema) → ValidateStage
+              → stable argsort by _part                 # the exchange
+              → upsert_partition over batch.take(order[lo:hi]),
+                one contiguous share of partitions per CPU
       → summary rows → run report
-    with min(partitions, CPUs) > 1, each other share's rows (only
-    those) go to a sibling upsert task; on one CPU the validated batch
-    never leaves the task's heap. A share writes its rejections as one
-    shared DLQ file per DLQ block (:func:`_upsert_groups`), which the
-    block's partitions list
+    the caller upserts the first share itself and, with
+    min(partitions, CPUs) > 1, sends each other share's rows (only
+    those) to an upsert task (:func:`_fan_out`, the engine's one rule
+    for where a share runs); on one CPU, or without a Ray session, no
+    task starts and the validated batch never leaves the caller's heap.
+    A share writes its rejections as one shared DLQ file per DLQ block
+    (:func:`_upsert_groups`), which the block's partitions list
 
 Scale design (SURVEY.md §4):
 
@@ -247,15 +250,17 @@ def _return_freed_pages() -> None:
     """Inside a Ray task, have Arrow's jemalloc give the pages it frees
     back to the OS at once (decay 0) rather than keep them for reuse: a
     commit's read and merge free most of what they allocate, and a
-    worker lives on after its task. The task shape's and the maintenance
-    tasks call it first, before their first Arrow allocation, since
-    jemalloc applies it only to arenas created later. The setting is the
-    worker process's, not the task's: Ray reuses a worker, so a Ray Data
-    plan task that runs in a worker after one of those tasks runs under
-    it too, and only a worker that has run none keeps jemalloc's
-    default. Never acts outside a task (the process that calls
-    ``ray.init`` has no task id), and is a no-op where Arrow is built
-    without jemalloc."""
+    worker lives on after its task. Every share function of
+    :func:`_fan_out` (:func:`_upsert_share`, :func:`_commit_share`,
+    :func:`_live_share`) calls it first, before its first Arrow
+    allocation, since jemalloc applies it only to arenas created later.
+    The setting is the worker process's, not the task's: Ray reuses a
+    worker, so a Ray Data plan task that runs in a worker after one of
+    those tasks runs under it too, and only a worker that has run none
+    keeps jemalloc's default. Never acts outside a task: the calling
+    process, which runs the first share of every fan-out (the process
+    that calls ``ray.init`` has no task id), keeps jemalloc's default.
+    A no-op where Arrow is built without jemalloc."""
     import ray
 
     if not ray.is_initialized() or ray.get_runtime_context().get_task_id() is None:
@@ -295,16 +300,19 @@ def _add_counts(counts: Dict[str, int], more: Dict[str, int]) -> Dict[str, int]:
 
 @dataclass
 class RunReport:
-    """What one run did: the events it saw, applied and skipped, and the
-    rejections it counted, per code, summed over the partitions it
-    committed. A rejection is counted once, by the commit that first
-    dead-letters its event (``rejection_counts()`` and the manifests hold
-    the lake's totals). A redrive's report counts its own commits: the
-    events it re-validated and the rejections still standing."""
+    """What one run did: the events it saw, applied, skipped and
+    rejected, and the rejections it counted per code, summed over the
+    partitions it committed. ``events_rejected`` counts each rejected
+    event once, ``rejected_by_code`` once per error code it carries. A
+    rejection is counted once, by the commit that first dead-letters its
+    event (``rejection_counts()`` and the manifests hold the lake's
+    totals). A redrive's report counts its own commits: the events it
+    re-validated and the rejections still standing."""
 
     events_seen: int = 0
     events_applied: int = 0
     events_skipped: int = 0
+    events_rejected: int = 0
     rejected_by_code: Dict[str, int] = field(default_factory=dict)
     partitions: int = 0
     lake_rows: int = 0      # live rows in the whole lake after the run
@@ -312,23 +320,26 @@ class RunReport:
     def merge_row(self, row: dict) -> None:
         """Fold in one partition's summary row."""
         self._count(row['events_seen'], row['events_applied'],
-                    row['events_skipped'], dict(row['rejected_by_code']))
+                    row['events_skipped'], row['events_rejected'],
+                    dict(row['rejected_by_code']))
         self.partitions += 1
 
     def add(self, later: 'RunReport') -> None:
         """Fold in the report of a later run on the same lake: event
         counts and rejections add up, ``lake_rows`` is the later one."""
         self._count(later.events_seen, later.events_applied,
-                    later.events_skipped, later.rejected_by_code)
+                    later.events_skipped, later.events_rejected,
+                    later.rejected_by_code)
         self.partitions = max(self.partitions, later.partitions)
         self.lake_rows = later.lake_rows
 
-    def _count(self, seen: int, applied: int, skipped: int,
-               rejected: Dict[str, int]) -> None:
+    def _count(self, seen: int, applied: int, skipped: int, rejected: int,
+               by_code: Dict[str, int]) -> None:
         self.events_seen += seen
         self.events_applied += applied
         self.events_skipped += skipped
-        self.rejected_by_code = _add_counts(self.rejected_by_code, rejected)
+        self.events_rejected += rejected
+        self.rejected_by_code = _add_counts(self.rejected_by_code, by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +352,16 @@ _SUMMARY_SCHEMA = {
     'events_seen': pa.int64(),
     'events_applied': pa.int64(),
     'events_skipped': pa.int64(),
+    'events_rejected': pa.int64(),
     'rejected_by_code': pa.map_(pa.string(), pa.int64()),
 }
 
 
-def _summary_row(pid, seen, applied, skipped, rejected) -> pa.Table:
+def _summary_row(pid, seen, applied, skipped, rejected, by_code) -> pa.Table:
     return pa.Table.from_pylist([{
         'partition_id': pid, 'events_seen': seen, 'events_applied': applied,
-        'events_skipped': skipped, 'rejected_by_code': sorted(rejected.items()),
+        'events_skipped': skipped, 'events_rejected': rejected,
+        'rejected_by_code': sorted(by_code.items()),
     }], schema=pa.schema(_SUMMARY_SCHEMA))
 
 
@@ -530,8 +543,9 @@ def _partition_file_paths(store: ManifestStore, pid: int, manifest) -> List[str]
 
 def _active_deltas(manifests: Iterable[Optional[PartitionManifest]]) -> bool:
     """Whether any committed partition lists an active delta: the rule
-    by which a whole-lake read merges on read in engine tasks, or reads
-    the base files where it is called (a fresh or just-compacted lake)."""
+    by which a whole-lake read merges on read one CPU share at a time
+    (:func:`_fan_out`), or reads the base files where it is called (a
+    fresh or just-compacted lake)."""
     return any(m is not None and m.deltas for m in manifests)
 
 
@@ -878,11 +892,11 @@ def _commit_optimistically(pid: int, attempt: Callable):
 def make_upsert_fn(lake_root: str, compact_every: int = 8,
                    retain_history: bool = False):
     """Build the ingest's upsert (closure: picklable), the plan's
-    ``map_groups`` function and the task shape's. ``upsert(group)``
+    ``map_groups`` function and the batch commit's. ``upsert(group)``
     commits one ``_part`` group (the plan's call);
     ``upsert(batch, ranges, order)`` commits the CPU share of partition
     groups whose rows are ``order[lo:hi]`` (``lo:hi`` without an order)
-    for each ``(lo, hi)`` of ``ranges`` (the task shape's call,
+    for each ``(lo, hi)`` of ``ranges`` (the batch commit's call,
     :func:`_upsert_share`). Either way :func:`_upsert_groups` commits
     each group through :func:`_commit_optimistically`, each attempt
     :func:`_apply_partition` over the manifest it read.
@@ -908,11 +922,11 @@ def make_upsert_fn(lake_root: str, compact_every: int = 8,
     return upsert_partition
 
 
-# A commit task's shared DLQ files group the partitions into at most this
-# many blocks of consecutive ids (ceil(partitions / 8) ids each): one
-# file per block per task. A lake of at most 8 partitions keeps one DLQ
-# file per partition and commit, so its bytes do not depend on how its
-# partitions are split over tasks (the CPU count).
+# A batch commit's shared DLQ files group the partitions into at most
+# this many blocks of consecutive ids (ceil(partitions / 8) ids each):
+# one file per block per CPU share. A lake of at most 8 partitions keeps
+# one DLQ file per partition and commit, so its bytes do not depend on
+# how its partitions are split over shares (the CPU count).
 _DLQ_BLOCKS = 8
 
 
@@ -1098,7 +1112,8 @@ def _publish(store: ManifestStore, pid: int, last: PartitionManifest,
         ),
         staged, expected_version=last.commit_version,
     )
-    return _summary_row(pid, acc.seen, acc.clean.num_rows, acc.skipped, acc.counts)
+    return _summary_row(pid, acc.seen, acc.clean.num_rows, acc.skipped,
+                        acc.dlq.num_rows, acc.counts)
 
 
 def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
@@ -1113,8 +1128,8 @@ def _apply_partition(group: pa.Table, store: ManifestStore, pid: int,
     state write (:func:`_stage_state`), the DLQ write, and one manifest
     commit (:func:`_publish`). The DLQ write is the commit's own file
     (:func:`_write_dlq`) unless ``write_dlq(staged)`` is given: the
-    first attempt of a partition whose rejections went in its commit
-    task's shared file (:func:`_upsert_groups`) stages that file (its
+    first attempt of a partition whose rejections went in its CPU
+    share's shared file (:func:`_upsert_groups`) stages that file (its
     owner) or only lists it, and returns the names to list. The state
     write runs in one of three modes:
 
@@ -1197,26 +1212,38 @@ def _by_key(tables: List[pa.Table]) -> pa.Table:
 
 def _shares(items: list, cpus: int) -> List[list]:
     """``items`` in ``min(len(items), cpus)`` contiguous shares, in
-    order (none for no item): the engine's one split of partitions
-    over tasks."""
+    order (none for no item): the engine's one split of partitions,
+    one share per CPU (:func:`_fan_out`)."""
     n = max(1, min(len(items), cpus))
     cuts = [i * len(items) // n for i in range(n + 1)]
     return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _fan_out(share_fn: Callable, items: list, *args) -> list:
+def _fan_out(share_fn: Callable, items: list, *args,
+             ship: Optional[Callable] = None) -> list:
     """``share_fn(share, *args)`` over :func:`_shares` of ``items``, one
-    Ray task per share when a Ray session is up, one inline call over all
-    items when there is none. Returns each share's result, in item
-    order. The commit task splits its partitions the same way: one task
-    per partition measured slower on one CPU than one per CPU."""
+    share per CPU of the Ray session (one CPU without a session): the
+    engine's one rule for where a share runs. Ray tasks run shares 2…n,
+    launched first; the calling process then runs share 1 and waits for
+    them. A one-CPU session, or none, thus starts no task, and no worker
+    loads a second copy of the engine. ``ship(share)``, when given, is
+    the argument tuple a task's share goes with instead of ``(share,
+    *args)``, so a task can get only its own share's rows. Returns each
+    share's result, in item order. One task per partition measured
+    slower on one CPU than one per CPU."""
     import ray
 
-    if not ray.is_initialized():
-        return [share_fn(items, *args)] if items else []
-    task = ray.remote(share_fn)
-    cpus = int(ray.cluster_resources().get('CPU', 1))
-    return ray.get([task.remote(share, *args) for share in _shares(items, cpus)])
+    cpus = int(ray.cluster_resources().get('CPU', 1)) if ray.is_initialized() else 1
+    shares = _shares(items, cpus)
+    if not shares:
+        return []
+    pending = []
+    if len(shares) > 1:
+        task = ray.remote(share_fn)
+        pending = [task.remote(*(ship(share) if ship else (share, *args)))
+                   for share in shares[1:]]
+    first = share_fn(shares[0], *args)
+    return [first] + (ray.get(pending) if pending else [])
 
 
 def _vacuum_attempt(store: ManifestStore, pid: int, staged: Dict[str, str],
@@ -1329,7 +1356,7 @@ def _dlq_events(store: ManifestStore, pid: int, names: List[str],
 
 
 # ---------------------------------------------------------------------------
-# the two ingest shapes: plain Ray tasks for one validate batch, the
+# the two ingest shapes: the caller's commit of one validate batch, the
 # Ray Data plan for everything else
 # ---------------------------------------------------------------------------
 
@@ -1349,48 +1376,50 @@ def _parquet_files(directory: str) -> List[str]:
 
 
 def _one_batch_source(events, batch_size: int) -> Optional[tuple]:
-    """The rule for which inputs commit as plain Ray tasks.
+    """The rule for which inputs the calling process commits itself
+    (:func:`_commit_batch`).
 
     An input whose row count is known without executing anything and is at
     most ``batch_size`` is one validate batch: a list of parquet files
     (counted from their footers; a directory's files and every
     :meth:`CDCPipeline.tail` batch) and materialized datasets such as
     ``rd.from_arrow(...)`` (counted from block metadata). Returns the
-    commit task's input, ``(paths, block refs)`` with one of the two
+    batch commit's input, ``(paths, block refs)`` with one of the two
     empty, or None for everything else (lazy datasets, larger inputs),
     which takes the Ray Data plan."""
-    from ray.data.dataset import MaterializedDataset
-
     if isinstance(events, list):
         if sum(pq.read_metadata(p).num_rows for p in events) > batch_size:
             return None
         return events, []
+    from ray.data.dataset import MaterializedDataset
+
     if isinstance(events, MaterializedDataset) and events.count() <= batch_size:
         return [], events.to_arrow_refs()
     return None
 
 
-def _commit_task(validate, upsert, cpus: int, paths: List[str],
-                 *blocks: pa.Table) -> tuple:
-    """The task shape's whole commit in one task's heap: read the input
-    (files through :func:`_read_files` under their widened schema, or the
-    dataset's blocks), validate it as one batch, take the stable
+def _commit_batch(validate, upsert, paths: List[str], blocks: list = ()) -> tuple:
+    """The whole commit of one validate batch, called in the calling
+    process: read the input (files through :func:`_read_files` under
+    their widened schema, or a materialized dataset's block refs, fetched
+    with ``ray.get``), validate it as one batch, take the stable
     ``_part`` order (input order inside each partition, as the plan's
-    exchange keeps it) and upsert the partitions in ``min(partitions,
-    cpus)`` contiguous shares. This task upserts the first share; each
-    other share's rows, and only those, go to a sibling
-    :func:`_upsert_share` task. No sorted copy of the batch is built: a
-    partition's rows are one ``take`` of its stretch of the order. One
-    task per partition measured slower on one CPU than one per CPU. The
-    worker returns the pages Arrow frees at once
-    (:func:`_return_freed_pages`). Returns ``(summary rows in partition
-    order, stats text)``."""
-    _return_freed_pages()
+    exchange keeps it) and upsert the partitions one CPU share each
+    through :func:`_fan_out`: each other share's rows, and only those,
+    go to an :func:`_upsert_share` task, launched first, and the caller
+    upserts the first share from its own heap. On one CPU, or without a
+    Ray session, no task starts. The caller's memory is bounded by one
+    validate batch (at most ``batch_size`` rows) plus its own share's
+    commits. No sorted copy of the batch is built: a partition's rows
+    are one ``take`` of its stretch of the order. Returns ``(summary
+    rows in partition order, stats text)``."""
     wall, cpu = time.perf_counter(), time.process_time()
     if paths:
         batch = _read_files(paths, _widened_schema(paths))
     else:
-        batch = pa.concat_tables(blocks, promote_options=_DELIVERED)
+        import ray
+
+        batch = pa.concat_tables(ray.get(list(blocks)), promote_options=_DELIVERED)
     order, ranges = None, []
     if batch.num_rows:  # the plan never calls a UDF on an empty block
         batch = validate(batch)
@@ -1400,32 +1429,26 @@ def _commit_task(validate, upsert, cpus: int, paths: List[str],
         bounds = np.flatnonzero(np.diff(parts[order], prepend=-1, append=-1)).tolist()
         ranges = list(zip(bounds, bounds[1:]))
     validated = (time.perf_counter() - wall, time.process_time() - cpu)
-    shares = _shares(ranges, cpus)
-    siblings = []
-    if len(shares) > 1:
-        import ray
 
-        task = ray.remote(_upsert_share)
-        for share in shares[1:]:
-            first, last = share[0][0], share[-1][1]
-            siblings.append(task.remote(
-                upsert, batch.take(pa.array(order[first:last])),
-                [(lo - first, hi - first) for lo, hi in share]))
-    done = [_upsert_share(upsert, batch, share, order) for share in shares[:1]]
-    if siblings:
-        done += ray.get(siblings)
+    def ship(share: List[tuple]) -> tuple:
+        first, last = share[0][0], share[-1][1]
+        return ([(lo - first, hi - first) for lo, hi in share], upsert,
+                batch.take(pa.array(order[first:last])))
+
+    done = _fan_out(_upsert_share, ranges, upsert, batch, order, ship=ship)
     stats = _task_stats([('validate', [validated]),
                          ('upsert_partition', [(w, c) for _, w, c in done])])
     return [row for rows, _, _ in done for row in rows], stats
 
 
-def _upsert_share(upsert, batch: pa.Table, ranges: List[tuple],
+def _upsert_share(ranges: List[tuple], upsert, batch: pa.Table,
                   order: Optional[np.ndarray] = None) -> tuple:
     """Run ``upsert`` on one CPU share of partition groups, each ``(lo,
     hi)`` range's: the rows ``order[lo:hi]`` names, or without an order
     the zero-copy slice ``lo:hi``; the share's rejections go in as few
     DLQ files as its DLQ blocks (:func:`_upsert_groups`). Returns
-    ``(summary rows, wall s, cpu s)``."""
+    ``(summary rows, wall s, cpu s)``. A :func:`_fan_out` share
+    function."""
     _return_freed_pages()
     wall, cpu = time.perf_counter(), time.process_time()
     rows = upsert(batch, ranges, order).to_pylist()
@@ -1436,7 +1459,7 @@ def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
     """Commit any input on the Ray Data plan: ``map_batches`` validate, the
     ``groupby(_part)`` exchange and ``map_groups`` upsert. A list of
     parquet files streams under the schema widened across them
-    (:func:`_widened_schema`), as the task shape reads it. Returns
+    (:func:`_widened_schema`), as :func:`_commit_batch` reads it. Returns
     ``(summary rows, ds.stats() text)``."""
     if isinstance(events, list):
         events = _read_dataset(events, _widened_schema(events))
@@ -1465,7 +1488,7 @@ def _commit_on_plan(events, validate, upsert, batch_size: int) -> tuple:
 
 
 def _task_stats(stages: List[tuple]) -> str:
-    """``last_stats`` of the task shape: per ``(stage name, [(wall s, cpu
+    """``last_stats`` of a batch commit: per ``(stage name, [(wall s, cpu
     s) per task])``, the task count and summed remote times in the lines
     ``Dataset.stats()`` prints, so its parsers read both shapes."""
     lines = []
@@ -1563,11 +1586,16 @@ class CDCPipeline:
         Two shapes run the same validate and upsert functions, chosen by
         :func:`_one_batch_source`: an input of at most ``batch_size`` rows
         whose size is known up front (parquet files, a materialized
-        dataset) commits in one Ray task (:func:`_commit_task`), which
-        skips the plan's fixed cost and the helper actors its first
-        execution starts; every other input runs the Ray Data plan
-        (:func:`_commit_on_plan`). ``last_stats`` holds the per-stage
-        breakdown either way, in ``Dataset.stats()`` form."""
+        dataset) commits in this process (:func:`_commit_batch`), which
+        reads and validates the batch here and upserts the first CPU
+        share of its partitions here too, sending only the other shares
+        to Ray tasks; it skips the plan's fixed cost and the helper
+        actors its first execution starts, and on one CPU, or without a
+        Ray session, it starts no task. This process then holds at most
+        one validate batch plus its own share's commits. Every other
+        input runs the Ray Data plan (:func:`_commit_on_plan`).
+        ``last_stats`` holds the per-stage breakdown either way, in
+        ``Dataset.stats()`` form."""
         validate = _make_validate_fn(
             self.num_partitions, self.langs, self.allow_extra_keys)
         upsert = make_upsert_fn(self.lake_root, compact_every=self.compact_every,
@@ -1579,12 +1607,7 @@ class CDCPipeline:
             return self._report([])
         source = _one_batch_source(events, self.batch_size)
         if source is not None:
-            import ray
-
-            paths, blocks = source
-            cpus = int(ray.cluster_resources().get('CPU', 1))
-            rows, self.last_stats = ray.get(ray.remote(_commit_task).remote(
-                validate, upsert, cpus, paths, *blocks))
+            rows, self.last_stats = _commit_batch(validate, upsert, *source)
         else:
             rows, self.last_stats = _commit_on_plan(
                 events, validate, upsert, self.batch_size)
@@ -1674,11 +1697,12 @@ class CDCPipeline:
 
         :meth:`as_dataset`'s rule decides where the merge runs. With no
         active deltas anywhere (a fresh or just-compacted lake) this
-        process reads the base files. Otherwise the merge-on-read runs in
-        engine tasks, one per CPU share of the partitions
-        (:func:`_fan_out`, :func:`_live_share`), so this process receives
-        the answer, never the files' history rows: it only joins the
-        shares' sorted answers (one share's as it is)."""
+        process reads the base files. Otherwise the merge-on-read runs
+        one CPU share of the partitions at a time (:func:`_fan_out`,
+        :func:`_live_share`): this process merges the first share and
+        receives each other share's answer from its task, never those
+        files' history rows, then joins the shares' sorted answers (one
+        share's as it is)."""
         manifests = [self.store.read_manifest(pid)
                      for pid in range(self.num_partitions)]
         schema = _lake_schema(self.store)
@@ -1777,7 +1801,7 @@ class CDCPipeline:
         per-key update run reflects only the batch's winners (commit
         granularity, as documented for :meth:`changes`). This process
         picks each partition's window by file name; the window merges run
-        in engine tasks, as :meth:`final_table`'s merge does."""
+        one CPU share at a time, as :meth:`final_table`'s merge does."""
         self._require_history('table_as_of()')
         windows = self._history_window(f'table_as_of({lsn})', lsn, -1, lsn)
         schema = _lake_schema(self.store)
@@ -1802,8 +1826,9 @@ class CDCPipeline:
         as deltas (compaction drops them later).
 
         Partitions vacuum independently, each its own optimistic commit
-        (:func:`_commit_share`), in engine tasks, one per CPU share of
-        the partitions (:func:`_fan_out`; inline without a Ray session):
+        (:func:`_commit_share`), one CPU share of the partitions at a
+        time: this process commits the first share, Ray tasks the others
+        (:func:`_fan_out`; no task on one CPU or without a Ray session):
         the 64M soak measured a one-process sequential loop at 45 s for
         640 files, scaling with reclaimed-file count; fanned out, it
         scales with files per share. The lake-level DLQ sweep
@@ -1845,7 +1870,8 @@ class CDCPipeline:
             allow_extra_keys if allow_extra_keys is not None else self.allow_extra_keys,
         )
         pids = [pid for pid, m in self.store.all_manifests().items() if m.dlq]
-        # ``{}``: each share task gets its own copy, the share's DLQ reads.
+        # ``{}``: the share's DLQ reads; each task gets its own copy,
+        # pickled at launch, before this process's share fills this one.
         shares = _fan_out(_commit_share, pids, self.lake_root, _redrive_attempt, {},
                           validate, self.compact_every, self.retain_history)
         self.store.sweep_dlq()

@@ -335,7 +335,7 @@ def test_read_files(tmp_path, case):
 
 
 def test_commit_and_final_table_leave_arrow_dataset_unimported(tmp_path):
-    """A commit task run in process and ``final_table()`` read parquet
+    """A batch commit and ``final_table()`` read parquet
     without Arrow's Dataset scanner: ``pyarrow.dataset`` is never
     imported (its module and scanner threads would stay resident in a
     worker that imported it)."""
@@ -349,12 +349,12 @@ def test_commit_and_final_table_leave_arrow_dataset_unimported(tmp_path):
         import sys
         import pyarrow.parquet as pq
         from filters_ray.pipelines.cdc import (
-            CDCPipeline, _commit_task, _make_validate_fn, make_upsert_fn)
+            CDCPipeline, _commit_batch, _make_validate_fn, make_upsert_fn)
         from filters_ray.sources.synth import SynthConfig, make_events
         events, lake = sys.argv[1], sys.argv[2]
         pq.write_table(make_events(SynthConfig(n_keys=50, n_events=300, seed=3)), events)
         pipeline = CDCPipeline(lake, num_partitions=4)
-        _commit_task(_make_validate_fn(4, None, True), make_upsert_fn(lake), 1, [events])
+        _commit_batch(_make_validate_fn(4, None, True), make_upsert_fn(lake), [events])
         assert pipeline.final_table().num_rows > 0
         print('pyarrow.dataset' in sys.modules)
     ''')

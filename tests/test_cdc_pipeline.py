@@ -64,6 +64,7 @@ def test_rejection_counts_match_oracle(tmp_path, small_log, oracle_result):
     pipeline, report = run_pipeline(tmp_path / 'lake', small_log)
     assert pipeline.rejection_counts() == oracle_result.rejected_by_code
     assert report.rejected_by_code == oracle_result.rejected_by_code
+    assert report.events_rejected == oracle_result.events_rejected
 
 
 @pytest.mark.usefixtures('ray_session')

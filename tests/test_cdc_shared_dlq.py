@@ -1,7 +1,8 @@
-"""Shared DLQ files: a commit task writes the rejections of the
-partitions of one DLQ block (``_DLQ_BLOCKS`` in ``pipelines/cdc.py``)
-as one file, which its first partition with rejections (the owner)
-publishes and the others list as ``part=<owner>/<name>``.
+"""Shared DLQ files: a CPU share of a batch commit writes the
+rejections of the partitions of one DLQ block (``_DLQ_BLOCKS`` in
+``pipelines/cdc.py``) as one file, which its first partition with
+rejections (the owner) publishes and the others list as
+``part=<owner>/<name>``.
 
 Readers must see exactly what a lake of one DLQ file per partition
 shows, whatever step of the share's commits a writer dies at, loses a
@@ -20,7 +21,7 @@ import pytest
 from filters_ray.pipelines.cdc import (
     PART_COLUMN,
     CDCPipeline,
-    _commit_task,
+    _commit_batch,
     _make_validate_fn,
     key_partition,
     make_upsert_fn,
@@ -30,7 +31,7 @@ from filters_ray.sources.synth import LANGS, SynthConfig, make_events
 from filters_ray.state import manifest
 from filters_ray.state.manifest import ManifestStore, shared_dlq_span
 
-from test_cdc_task_shape import lake_files, lazy, write_files
+from test_cdc_task_shape import _inline, lake_files, lazy, write_files
 
 # A 16-partition lake has DLQ blocks of two partitions: 2 and 3 share one.
 PARTITIONS = 16
@@ -59,10 +60,10 @@ def _events(pids, lsn0: int = 100) -> pa.Table:
 
 
 def _commit(lake: str, path: str) -> list:
-    """Commit the events file ``path`` as one commit task on one CPU: one
+    """Commit the events file ``path`` as one batch commit on one CPU: one
     share, in this process."""
-    return _commit_task(_make_validate_fn(PARTITIONS, None, True),
-                        make_upsert_fn(lake), 1, [path])[0]
+    return _inline(_commit_batch, _make_validate_fn(PARTITIONS, None, True),
+                   make_upsert_fn(lake), [path])[0]
 
 
 def _state(pipeline: CDCPipeline) -> dict:
@@ -284,7 +285,7 @@ def test_owner_redriven_while_its_share_commits(tmp_path, monkeypatch):
 @pytest.mark.usefixtures('ray_session')
 @pytest.mark.parametrize('partitions, cpus', [(64, 1), (16, 4)])
 def test_shared_dlq_reads_as_one_file_per_partition(tmp_path, partitions, cpus):
-    """A log committed as one commit task on ``cpus`` shares, with
+    """A log committed as one batch commit on ``cpus`` shares, with
     shared DLQ files, and the same log on the Ray Data plan, which
     writes one DLQ file per partition, show equal DLQ rows, rejection
     counts and live rows; ``lake_report`` and ``tools/lake_bytes.py``
@@ -307,10 +308,12 @@ def test_shared_dlq_reads_as_one_file_per_partition(tmp_path, partitions, cpus):
     def no_task(*args, **kwargs):
         raise AssertionError('a one-CPU commit started a task')
 
+    assert cpus in (1, int(ray.cluster_resources()['CPU']))
     with pytest.MonkeyPatch.context() as m:
-        if cpus == 1:  # a one-CPU commit runs in this process
+        if cpus == 1:  # as without a session: one share, in this process
+            m.setattr(ray, 'is_initialized', lambda: False)
             m.setattr(ray, 'remote', no_task)
-        _commit_task(validate, make_upsert_fn(lakes['tasks'].lake_root), cpus, [path])
+        _commit_batch(validate, make_upsert_fn(lakes['tasks'].lake_root), [path])
     lakes['plan'].run(lazy(log))
 
     disk = {shape: _dlq_on_disk(p.lake_root) for shape, p in lakes.items()}

@@ -1,12 +1,17 @@
 """The two ingest shapes: a micro-batch of at most ``batch_size`` rows
-whose size is known up front commits as plain Ray tasks, anything else
+whose size is known up front commits in the calling process, which
+sends only the CPU shares after the first to Ray tasks; anything else
 runs the Ray Data plan. Both must leave byte-identical lakes, and the
 shape rule must send each input where it says.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import subprocess
+import sys
+import textwrap
 
 import pyarrow.parquet as pq
 import pytest
@@ -47,6 +52,45 @@ def write_files(log, directory, n_files: int) -> list:
         paths.append(os.path.join(directory, f'wal-{i:04d}.parquet'))
         pq.write_table(log.slice(i * per, rows), paths[-1])
     return paths
+
+
+def run_script(script: str, *argv) -> str:
+    """Run ``script`` in a fresh Python that imports the repository and
+    ``tests/`` and joins no running Ray cluster; returns its stdout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, RAY_ADDRESS='', PYTHONPATH=os.pathsep.join(
+        [root, os.path.join(root, 'tests')]))
+    out = subprocess.run(
+        [sys.executable, '-c', textwrap.dedent(script), *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@contextlib.contextmanager
+def counted_launches():
+    """The names of the functions whose ``ray.remote(fn).remote(...)`` is
+    called inside the block, in launch order."""
+    import ray
+
+    launched = []
+    real_remote = ray.remote
+
+    def counting_remote(fn=None, **options):
+        if fn is None:  # ``@ray.remote(**options)``, as Ray's own modules use it
+            return real_remote(**options)
+        task = real_remote(fn)
+
+        class Counted:
+            @staticmethod
+            def remote(*args):
+                launched.append(fn.__name__)
+                return task.remote(*args)
+        return Counted()
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ray, 'remote', counting_remote)
+        yield launched
 
 
 @pytest.fixture
@@ -122,39 +166,84 @@ def test_one_batch_inputs_skip_the_plan(tmp_path):
 
 
 @pytest.mark.usefixtures('ray_session')
-def test_one_cpu_commit_matches_the_fan_out(tmp_path, monkeypatch):
-    """One micro-batch committed by ``_commit_task`` on one CPU (every
-    partition upserted in the task's own heap) and on four (three shares
-    shipped to sibling upsert tasks) leaves equal summary rows and
-    byte-equal lakes. On one CPU nothing touches the object store."""
-    import ray
+def test_one_cpu_commit_matches_the_fan_out(tmp_path):
+    """One micro-batch committed by ``_commit_batch`` in a one-CPU Ray
+    session (every partition upserted in the caller's heap, nothing in
+    the object store) and in this four-CPU session (three shares shipped
+    to upsert tasks) leaves equal summary rows and byte-equal lakes."""
+    import json
 
-    from filters_ray.pipelines.cdc import _commit_task, _make_validate_fn, make_upsert_fn
+    from filters_ray.pipelines.cdc import _commit_batch, _make_validate_fn, make_upsert_fn
 
     log = make_events(SynthConfig(n_keys=80, n_events=600, n_repos=8, seed=47))
     [path] = write_files(log, str(tmp_path / 'in'), 1)
+    one_cpu = run_script('''
+        import json, sys
+        import ray
+        from filters_ray.pipelines.cdc import (
+            CDCPipeline, _commit_batch, _make_validate_fn, make_upsert_fn)
 
-    def commit(cpus: int) -> tuple:
-        lake = str(tmp_path / f'cpus{cpus}')
+        def object_store(*args, **kwargs):
+            raise AssertionError('a one-CPU commit used the object store')
+
+        path, lake = sys.argv[1:]
+        ray.init(address='local', num_cpus=1, include_dashboard=False,
+                 logging_level='ERROR')
+        real = ray.put, ray.remote
+        ray.put = ray.remote = object_store
         CDCPipeline(lake, num_partitions=8)
-        rows, stats = _commit_task(_make_validate_fn(8, None, True),
-                                   make_upsert_fn(lake), cpus, [path])
-        return rows, stats, lake_files(lake)
-
-    def object_store(*args, **kwargs):
-        raise AssertionError('a one-CPU commit used the object store')
-
-    with monkeypatch.context() as m:
-        m.setattr(ray, 'put', object_store)
-        m.setattr(ray, 'remote', object_store)
-        one_rows, one_stats, one_lake = commit(1)
-    fan_rows, fan_stats, fan_lake = commit(4)
+        done = _commit_batch(_make_validate_fn(8, None, True), make_upsert_fn(lake), [path])
+        ray.put, ray.remote = real
+        ray.shutdown()
+        print(json.dumps(done))
+    ''', path, tmp_path / 'cpus1')
+    one_rows, one_stats = json.loads(one_cpu.splitlines()[-1])
+    fan_lake = str(tmp_path / 'cpus4')
+    CDCPipeline(fan_lake, num_partitions=8)
+    fan_rows, fan_stats = _commit_batch(_make_validate_fn(8, None, True),
+                                        make_upsert_fn(fan_lake), [path])
     assert [row['partition_id'] for row in one_rows] == list(range(8))
-    assert one_rows == fan_rows
+    assert one_rows == json.loads(json.dumps(fan_rows))
     assert 'upsert_partition: 1 tasks executed' in one_stats
     assert 'upsert_partition: 4 tasks executed' in fan_stats
+    one_lake, fan_lake = lake_files(str(tmp_path / 'cpus1')), lake_files(fan_lake)
     assert sorted(one_lake) == sorted(fan_lake)
     assert [k for k in one_lake if one_lake[k] != fan_lake[k]] == []
+
+
+def test_one_cpu_session_starts_no_task(tmp_path):
+    """In a one-CPU Ray session the calling process runs every share:
+    micro-batch ``run()`` commits, a ``tail(max_batches=1)``,
+    ``final_table()`` and ``table_as_of()`` on a lake with active deltas,
+    ``replay_dlq`` and ``vacuum_history`` launch no Ray task."""
+    out = run_script('''
+        import os, sys
+        import ray
+        from filters_ray.pipelines.cdc import CDCPipeline
+        from filters_ray.sources.synth import LANGS
+        from test_cdc_task_shape import counted_launches, read_case_lake
+
+        root = sys.argv[1]
+        ray.init(address='local', num_cpus=1, include_dashboard=False,
+                 logging_level='ERROR')
+        with counted_launches() as launched:
+            pipeline, boundaries = read_case_lake(root, 'retained')
+            tailed = CDCPipeline(os.path.join(root, 'tailed'), num_partitions=4).tail(
+                os.path.join(root, 'in'), max_batches=1)
+            deltas = pipeline.lake_report()['active_deltas']
+            final = pipeline.final_table()
+            as_of = pipeline.table_as_of(boundaries[1])
+            redrive = pipeline.replay_dlq(langs=list(LANGS) + ['klingon'])
+            removed = pipeline.vacuum_history(boundaries[-1])
+        ray.shutdown()
+        print(tailed.events_seen, deltas, final.num_rows, as_of.num_rows,
+              redrive.events_applied, removed, len(launched))
+    ''', tmp_path)
+    tailed, deltas, final, as_of, redriven, removed, launched = map(
+        int, out.split()[-7:])
+    assert tailed == 480 and deltas > 0 and final > 0 and as_of > 0
+    assert redriven > 0 and removed > 0
+    assert launched == 0
 
 
 def write_branch_files(directory) -> tuple:
@@ -291,8 +380,8 @@ def test_materialized_blocks_of_mixed_lsn_width_commit_as_their_files(tmp_path):
 def test_only_engine_tasks_return_freed_pages(tmp_path, monkeypatch):
     """``pa.jemalloc_set_decay_ms`` is called inside Ray tasks only:
     never in the calling process by ``run()``, ``final_table()``, or a
-    redrive and vacuum run inline without Ray; a commit task run inside a
-    Ray task calls it, and where Arrow lacks jemalloc
+    redrive and vacuum run inline without Ray; a batch commit run inside
+    a Ray task calls it, and where Arrow lacks jemalloc
     (``NotImplementedError``) the commit goes on."""
     import pyarrow as pa
     import ray
@@ -319,8 +408,8 @@ def test_only_engine_tasks_return_freed_pages(tmp_path, monkeypatch):
         from filters_ray.pipelines import cdc
 
         def commit() -> None:
-            cdc._commit_task(cdc._make_validate_fn(4, None, True),
-                             cdc.make_upsert_fn(root), 1, [events])
+            cdc._commit_batch(cdc._make_validate_fn(4, None, True),
+                              cdc.make_upsert_fn(root), [events])
 
         def unbuilt(ms):
             raise NotImplementedError('jemalloc not built in')
@@ -341,7 +430,7 @@ def test_only_engine_tasks_return_freed_pages(tmp_path, monkeypatch):
     assert counted and set(counted) == {0}
 
 
-# -- whole-lake reads and maintenance fan out one task per CPU share ----------
+# -- whole-lake reads and maintenance: the caller runs the first CPU share ----
 
 
 def _inline(call, *args):
@@ -423,13 +512,8 @@ def test_whole_lake_reads_in_tasks_equal_inline(tmp_path, case):
 
 def test_whole_lake_reads_equal_inline_on_one_and_two_cpus(tmp_path):
     """The same equality in 1-CPU and 2-CPU Ray sessions (one share, the
-    answer as the task returned it; two shares, joined in order)."""
-    import subprocess
-    import sys
-    import textwrap
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = textwrap.dedent('''
+    answer as the caller merged it; two shares, joined in order)."""
+    out = run_script('''
         import sys
         import ray
         from test_cdc_task_shape import _inline, read_case_lake
@@ -451,21 +535,19 @@ def test_whole_lake_reads_equal_inline_on_one_and_two_cpus(tmp_path):
         ray.shutdown()
         for cpus, tables in got.items():
             print(cpus, all(a.equals(b) for a, b in zip(tables, inline)))
-    ''')
-    env = dict(os.environ, RAY_ADDRESS='', PYTHONPATH=os.pathsep.join(
-        [root, os.path.join(root, 'tests')]))
-    out = subprocess.run([sys.executable, '-c', script, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=600)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ['1', 'True', '2', 'True']
+    ''', tmp_path)
+    assert out.split() == ['1', 'True', '2', 'True']
 
 
 @pytest.mark.usefixtures('ray_session')
-def test_driver_opens_only_bases(tmp_path, monkeypatch):
+def test_caller_opens_only_its_own_share(tmp_path, monkeypatch):
     """Counted at ``_read_files`` in this process: on a lake with active
-    deltas, ``final_table()`` and ``table_as_of()`` open no lake file
-    here (the merges run in tasks); on a lake without, ``final_table()``
-    opens only the base files, here."""
+    deltas, ``final_table()`` and ``table_as_of()`` open here only the
+    files of the first CPU share of the partitions (tasks merge the
+    others); on a lake without, ``final_table()`` opens only the base
+    files, here."""
+    import ray
+
     from filters_ray.pipelines import cdc
 
     opened = []
@@ -475,11 +557,25 @@ def test_driver_opens_only_bases(tmp_path, monkeypatch):
         opened.extend(os.path.basename(p) for p in paths)
         return real(paths, schema)
 
+    def first_share(groups) -> list:
+        cpus = int(ray.cluster_resources()['CPU'])
+        share = cdc._shares([paths for paths in groups if paths], cpus)[0]
+        return [os.path.basename(p) for paths in share for p in paths]
+
     monkeypatch.setattr(cdc, '_read_files', counted)
     deltas, boundaries = read_case_lake(str(tmp_path / 'deltas'), 'retained')
+    store = deltas.store
+    live = [cdc._partition_file_paths(store, pid, store.read_manifest(pid))
+            for pid in range(4)]
+    window = deltas._history_window('table_as_of', boundaries[1], -1, boundaries[1])
     opened.clear()
-    assert deltas.final_table().num_rows and deltas.table_as_of(boundaries[1]).num_rows
-    assert opened == []
+    assert deltas.final_table().num_rows
+    assert opened == first_share(live)
+    assert 0 < len(opened) < sum(map(len, live))
+    opened.clear()
+    assert deltas.table_as_of(boundaries[1]).num_rows
+    assert opened == first_share(window.values())
+    assert 0 < len(opened) < sum(map(len, window.values()))
 
     bases, _ = read_case_lake(str(tmp_path / 'bases'), 'no_deltas')
     opened.clear()
@@ -488,10 +584,10 @@ def test_driver_opens_only_bases(tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures('ray_session')
-def test_maintenance_runs_one_task_per_cpu_share(tmp_path, monkeypatch):
-    """``replay_dlq`` and ``vacuum_history`` run ``min(partitions, CPUs)``
-    tasks, results in partition order, and leave the lake a run inline
-    leaves."""
+def test_maintenance_runs_a_task_per_cpu_share_after_the_first(tmp_path):
+    """``replay_dlq`` and ``vacuum_history`` run ``min(partitions, CPUs)
+    - 1`` tasks (the caller commits the first share), results in
+    partition order, and leave the lake a run inline leaves."""
     import ray
 
     from filters_ray.pipelines import cdc
@@ -509,32 +605,18 @@ def test_maintenance_runs_one_task_per_cpu_share(tmp_path, monkeypatch):
     pids = [pid for pid, m in lakes['tasks'].store.all_manifests().items() if m.dlq]
     assert len(pids) > 1
 
-    launched = []
-    real_remote = ray.remote
-
-    def counting_remote(fn):
-        task = real_remote(fn)
-
-        class Counted:
-            @staticmethod
-            def remote(*args):
-                launched.append(fn.__name__)
-                return task.remote(*args)
-        return Counted()
-
     langs = list(LANGS) + ['klingon']
     boundary = lakes['tasks'].lake_report()['hwm_lsn']
-    with monkeypatch.context() as m:
-        m.setattr(ray, 'remote', counting_remote)
+    with counted_launches() as launched:
         redrive = lakes['tasks'].replay_dlq(langs=langs)
-        assert launched == ['_commit_share'] * min(len(pids), cpus)
+        assert launched == ['_commit_share'] * (min(len(pids), cpus) - 1)
         launched.clear()
         removed = lakes['tasks'].vacuum_history(boundary)
-        assert launched == ['_commit_share'] * min(8, cpus)
+        assert launched == ['_commit_share'] * (min(8, cpus) - 1)
         launched.clear()
         order = cdc._fan_out(cdc._commit_share, list(range(8)), lakes['tasks'].lake_root,
                              lambda store, pid, staged: pid)
-        assert len(launched) == min(8, cpus)
+        assert len(launched) == min(8, cpus) - 1
     assert [pid for share in order for pid in share] == list(range(8))
     assert redrive == _inline(lakes['inline'].replay_dlq, langs)
     assert removed == _inline(lakes['inline'].vacuum_history, boundary) > 0
